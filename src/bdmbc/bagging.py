@@ -92,6 +92,9 @@ def _bagged_rank_table(points, plan):
 # tree traversal; only the k_d-th distance value is needed, so partitioning
 # squared distances is exact (ties share the same distance).
 _BRUTE_SUBSAMPLE_MAX_S = 1024
+# Per-block budget of a brute-force round, in rows x s x d multiply-adds:
+# the (rows, s) distance block stays cache-resident.
+_BRUTE_BLOCK_FLOPS = 1 << 19
 
 
 def _round_brute(points, sub, k_d):
@@ -101,9 +104,13 @@ def _round_brute(points, sub, k_d):
     in_sub[sub] = np.arange(len(sub))
     sq_sub = np.einsum("ij,ij->i", sub_pts, sub_pts)
     out = np.empty(n)
-    chunk = max(_CHUNK_ELEMENTS // len(sub), 1)
-    for lo in range(0, n, chunk):
-        hi = min(lo + chunk, n)
+    chunk = max(_BRUTE_BLOCK_FLOPS // sub_pts.size, 2)
+    bounds = list(range(0, n, chunk)) + [n]
+    if len(bounds) > 2 and bounds[-1] - bounds[-2] == 1:
+        # BLAS takes a one-row block through its matrix-vector product,
+        # which rounds differently and would split duplicate points' values
+        del bounds[-2]
+    for lo, hi in zip(bounds, bounds[1:]):
         block = points[lo:hi]
         d2 = np.einsum("ij,ij->i", block, block)[:, None] + sq_sub[None, :]
         d2 -= 2.0 * (block @ sub_pts.T)

@@ -1,11 +1,12 @@
 """Level-set graph clustering on PLLS scores.
 
-Pipeline: symmetrized k_G-NN graph over all points, node-induced
-subgraph on scores >= lambda, connected components, dissolution of
-undersized components, then 1-NN assignment of the remaining points to
-the nearest surviving core point.  Everything is deterministic for a
-fixed seed; component IDs follow each component's smallest member index
-and final labels are ordered by descending cluster size.
+Pipeline: k_G-NN graph over all points, node-induced subgraph on
+scores >= lambda, weakly connected components (the components of the
+union-symmetrized graph), dissolution of undersized components, then 1-NN
+assignment of the remaining points to the nearest surviving core point.
+Everything is deterministic for a fixed seed; component IDs follow each
+component's smallest member index and final labels are ordered by
+descending cluster size.
 """
 
 from __future__ import annotations
@@ -19,7 +20,10 @@ from scipy.sparse.csgraph import connected_components as _cc
 
 from .bagging import BaggingPlan, bagged_k_distance
 from .knn import SpatialIndex
-from .plls import PllsScores, empirical_plls, mode_set
+from .plls import PllsScores, mode_set, plls_from_neighbors
+# empirical_plls stays importable from this module, where the benchmark's
+# tracer wraps the stages; bdmbc_fit slices one neighbor table instead.
+from .plls import empirical_plls  # noqa: F401
 
 
 @dataclass(frozen=True)
@@ -84,10 +88,15 @@ class BdmbcConfig:
 
 @dataclass(frozen=True)
 class NeighborGraph:
-    """Symmetrized k_G-NN graph: undirected edges (i, j) with i < j."""
+    """k_G-NN graph as an (m, 2) int64 edge list.
+
+    build_kg_graph gives the union-symmetrized form: edges (i, j) with
+    i < j, lexicographically sorted and unique.  graph_from_neighbors keeps
+    the directed rows (i, nbr[i, j]); both have the same weak components.
+    """
 
     n: int
-    edges: np.ndarray  # (m, 2) int64, lexicographically sorted, unique
+    edges: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -120,18 +129,25 @@ class ClusterResult:
         }
 
 
+def graph_from_neighbors(nbr):
+    """Directed k-NN graph with edges (i, nbr[i, j]), row by row.
+
+    nbr may be the leading k_g columns of a wider exact neighbor table: under
+    the (distance, index) rule they are exactly the k_g-lists.
+    """
+    n, k = nbr.shape
+    src = np.repeat(np.arange(n, dtype=np.int64), k)
+    return NeighborGraph(n, np.column_stack([src, nbr.reshape(-1)]))
+
+
 def build_kg_graph(idx, k_g):
     """Union-symmetrized k_g-NN graph under the (distance, index) tie rule."""
     n = idx.n
     if not 1 <= k_g <= n - 1:
         raise ValueError(f"k_g={k_g} out of range [1, {n - 1}]")
     nbr, _ = idx.query_bulk(idx.points, k_g, exclude=np.arange(n))
-    src = np.repeat(np.arange(n, dtype=np.int64), k_g)
-    dst = nbr.reshape(-1)
-    lo = np.minimum(src, dst)
-    hi = np.maximum(src, dst)
-    edges = np.unique(np.column_stack([lo, hi]), axis=0)
-    return NeighborGraph(n, edges)
+    directed = graph_from_neighbors(nbr)
+    return NeighborGraph(n, np.unique(np.sort(directed.edges, axis=1), axis=0))
 
 
 def core_subgraph(graph, scores, lam):
@@ -151,6 +167,8 @@ def core_subgraph(graph, scores, lam):
 def connected_components(sub):
     """Provisional labels on core points; -1 elsewhere.
 
+    Edges are read as directed and components as weakly connected, so a
+    directed k-NN edge list and its symmetrized form give the same labels.
     Component IDs are assigned in order of each component's smallest
     member index.
     """
@@ -168,7 +186,7 @@ def connected_components(sub):
         )
     else:
         adj = coo_matrix((core.size, core.size))
-    _, comp = _cc(adj, directed=False)
+    _, comp = _cc(adj, directed=True, connection="weak")
     # relabel so that component IDs follow smallest member (core is sorted
     # ascending, so first occurrence order is smallest-index order)
     _, first = np.unique(comp, return_index=True)
@@ -189,12 +207,11 @@ def finalize(ds, idx, provisional, core_mask, min_cluster_size):
     n = points.shape[0]
     labels = np.asarray(provisional).copy()
     core_mask = np.asarray(core_mask).copy()
-    ids, sizes = np.unique(labels[labels >= 0], return_counts=True)
-    for cid, size in zip(ids, sizes):
-        if size < min_cluster_size:
-            dissolved = labels == cid
-            labels[dissolved] = -1
-            core_mask[dissolved] = False
+    member = np.flatnonzero(labels >= 0)
+    small = np.bincount(labels[member]) < min_cluster_size
+    dissolved = member[small[labels[member]]]
+    labels[dissolved] = -1
+    core_mask[dissolved] = False
     core = np.flatnonzero(core_mask)
     if core.size == 0:
         return np.zeros(n, dtype=np.int64), core_mask, 1
@@ -219,7 +236,14 @@ def finalize(ds, idx, provisional, core_mask, min_cluster_size):
 
 
 def bdmbc_fit(ds, config, index=None):
-    """Run the full pipeline on a dataset; deterministic for a fixed seed."""
+    """Run the full pipeline on a dataset; deterministic for a fixed seed.
+
+    One exact neighbor table of width max(k_l, k_g, and k_d when s == n)
+    serves every stage: the plain k-distance (s == n) is its k_d-th column,
+    PLLS reads its first k_l columns and the graph its first k_g.  The
+    table's query is timed under the first stage that consumes it:
+    timings["bagged_kdist"] when s == n, else timings["plls"].
+    """
     points = ds.points if hasattr(ds, "points") else np.asarray(ds, dtype=np.float64)
     n = points.shape[0]
     if n == 1:
@@ -233,22 +257,34 @@ def bdmbc_fit(ds, config, index=None):
             timings={},
         )
     config.validate(n)
+    s = config.subsample_size(n)
+    width = max(config.k_l, config.k_g, config.k_d if s == n else 1)
     timings = {}
     t0 = time.perf_counter()
     idx = index if index is not None else SpatialIndex(points)
     timings["index"] = time.perf_counter() - t0
 
     t0 = time.perf_counter()
-    plan = BaggingPlan(b=config.b, s=config.subsample_size(n), k_d=config.k_d, seed=config.seed)
-    bagged = bagged_k_distance(points, plan, index=idx)
+    nbr = None
+    if s == n:
+        # Every round sees the full data, so the average is the plain
+        # k-distance regardless of B.
+        nbr, dist = idx.query_bulk(points, width, exclude=np.arange(n))
+        bagged = dist[:, config.k_d - 1].copy()
+        del dist
+    else:
+        plan = BaggingPlan(b=config.b, s=s, k_d=config.k_d, seed=config.seed)
+        bagged = bagged_k_distance(points, plan, index=idx)
     timings["bagged_kdist"] = time.perf_counter() - t0
 
     t0 = time.perf_counter()
-    scores = empirical_plls(points, idx, bagged, config.k_l)
+    if nbr is None:
+        nbr, _ = idx.query_bulk(points, width, exclude=np.arange(n))
+    scores = plls_from_neighbors(bagged, nbr[:, : config.k_l])
     timings["plls"] = time.perf_counter() - t0
 
     t0 = time.perf_counter()
-    graph = build_kg_graph(idx, config.k_g)
+    graph = graph_from_neighbors(nbr[:, : config.k_g])
     timings["graph"] = time.perf_counter() - t0
 
     t0 = time.perf_counter()

@@ -38,11 +38,21 @@ def empirical_plls(ds, idx, bagged, k_l):
     bagged = np.asarray(bagged, dtype=np.float64)
     if bagged.shape != (n,):
         raise ValueError(f"bagged distances have length {bagged.shape}, expected {n}")
+    nbr, _ = idx.query_bulk(points, k_l, exclude=np.arange(n))
+    return plls_from_neighbors(bagged, nbr)
+
+
+def plls_from_neighbors(bagged, nbr):
+    """Scores from each point's neighbor rows, nearest first, self excluded.
+
+    nbr may be the leading k_l columns of a wider exact neighbor table: under
+    the (distance, index) rule they are exactly the k_l-lists.
+    """
+    n, k_l = nbr.shape
     counts = np.empty(n, dtype=np.int64)
     for lo in range(0, n, _CHUNK):
         hi = min(lo + _CHUNK, n)
-        nbr, _ = idx.query_bulk(points[lo:hi], k_l, exclude=np.arange(lo, hi))
-        counts[lo:hi] = (bagged[nbr] >= bagged[lo:hi, None]).sum(axis=1)
+        counts[lo:hi] = (bagged[nbr[lo:hi]] >= bagged[lo:hi, None]).sum(axis=1)
     return PllsScores(counts / k_l, k_l)
 
 

@@ -15,6 +15,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+import bdmbc
 from bdmbc import (
     BaggingPlan,
     BdmbcConfig,
@@ -342,6 +343,9 @@ def test_10_determinism_across_thread_counts(tmp_path):
     with open(data, "w") as fh:
         for row, lab in zip(ds.points, ds.labels):
             fh.write(",".join(repr(float(v)) for v in row) + f",{int(lab)}\n")
+    # the CLI runs on the bdmbc this test imported, installed or not
+    pkg_root = os.path.dirname(os.path.dirname(bdmbc.__file__))
+    path = os.pathsep.join(filter(None, [pkg_root, os.environ.get("PYTHONPATH")]))
     outputs = []
     for run, threads in (("r1", "1"), ("r2", "8"), ("r3", "1"), ("r4", "8")):
         out = tmp_path / run
@@ -349,7 +353,7 @@ def test_10_determinism_across_thread_counts(tmp_path):
             [sys.executable, "-m", "bdmbc.cli", "cluster", str(data),
              "--label-column", "3", "--b", "3", "--rho", "0.4",
              "--kd", "6", "--kl", "40", "--seed", "2", "--out", str(out)],
-            env={**os.environ, "BDMBC_THREADS": threads},
+            env={**os.environ, "BDMBC_THREADS": threads, "PYTHONPATH": path},
             capture_output=True,
         )
         assert proc.returncode == 0, proc.stderr.decode()

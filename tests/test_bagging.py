@@ -286,3 +286,20 @@ def test_density_preserves_distance_ordering():
     # strict inversion: larger distance <=> smaller density
     a, b = np.triu_indices(80, 1)
     assert np.all((bagged[a] < bagged[b]) == (dens[a] > dens[b]))
+
+
+def test_brute_round_independent_of_block_size(monkeypatch):
+    # a one-row last block must round like the others, so duplicates stay tied
+    from bdmbc import bagging
+
+    sub = np.arange(1, 300, 3)  # neither duplicate below is in the subsample
+    for seed in range(6):
+        pts = _rng(seed, 15).random((301, 10))
+        pts[300] = pts[0]
+        monkeypatch.setattr(bagging, "_BRUTE_BLOCK_FLOPS", 1 << 19)
+        whole = bagging._round_brute(pts, sub, 5)
+        # blocks of 50 rows with one row left over
+        monkeypatch.setattr(bagging, "_BRUTE_BLOCK_FLOPS", 50 * sub.size * 10)
+        blocked = bagging._round_brute(pts, sub, 5)
+        assert blocked[300] == blocked[0], seed
+        assert np.array_equal(blocked, whole), seed

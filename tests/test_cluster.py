@@ -6,6 +6,7 @@ Oracles: brute-force edge enumeration and BFS component labeling.
 import numpy as np
 import pytest
 
+from bdmbc.bagging import BaggingPlan, bagged_k_distance
 from bdmbc.cluster import (
     BdmbcConfig,
     bdmbc_fit,
@@ -16,7 +17,7 @@ from bdmbc.cluster import (
 )
 from bdmbc.data import Dataset, _rng, gen_multiblobs
 from bdmbc.knn import SpatialIndex
-from bdmbc.plls import PllsScores, dmbc_plls
+from bdmbc.plls import PllsScores, dmbc_plls, empirical_plls, mode_set
 
 
 def brute_edges(points, k_g):
@@ -276,3 +277,30 @@ def test_lambda_one_clusters_mode_set_only():
     scores = dmbc_plls(pts, idx, 5, 20)
     assert np.array_equal(np.flatnonzero(res.core_mask),
                           np.flatnonzero(scores.values == 1.0))
+
+
+@pytest.mark.parametrize("quantized", [False, True])
+@pytest.mark.parametrize("bagged", [True, False])
+def test_fit_equals_public_stage_composition(quantized, bagged):
+    # bdmbc_fit slices one neighbor table; the public stages query their own.
+    pts = gen_multiblobs(600, 2, 3, seed=7).points
+    if quantized:
+        pts = np.round(pts / 0.25) * 0.25
+    if bagged:
+        cfg = BdmbcConfig(k_d=6, k_l=30, b=4, rho=0.3, k_g=8, lam=0.5, seed=3)
+    else:
+        cfg = BdmbcConfig(k_d=40, k_l=30, b=1, rho=1.0, k_g=8, lam=0.5, seed=3)
+    res = bdmbc_fit(pts, cfg)
+
+    idx = SpatialIndex(pts)
+    plan = BaggingPlan(b=cfg.b, s=cfg.subsample_size(600), k_d=cfg.k_d, seed=cfg.seed)
+    scores = empirical_plls(pts, idx, bagged_k_distance(pts, plan, index=idx), cfg.k_l)
+    sub = core_subgraph(build_kg_graph(idx, cfg.k_g), scores, cfg.lam)
+    labels, core, num = finalize(pts, idx, connected_components(sub), sub.node_mask,
+                                 cfg.effective_min_cluster_size())
+    modes = mode_set(scores)
+    assert np.array_equal(res.plls, scores.values)
+    assert np.array_equal(res.labels, labels)
+    assert np.array_equal(res.core_mask, core)
+    assert res.num_clusters == num
+    assert np.array_equal(res.modes, modes[core[modes]])

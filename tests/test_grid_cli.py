@@ -78,6 +78,9 @@ def test_grid_requires_labels_and_lists(blob_csv):
         grid_search(ds, {"kd": [], "kl": [20]})
     with pytest.raises(ValueError):
         grid_search(ds, {"kd": [5], "kl": [20]}, metric="silhouette")
+    for kg in (0, 300):  # k_g must lie in [1, n - 1]
+        with pytest.raises(ValueError, match="k_g"):
+            grid_search(ds, {"b": [1], "rho": [0.5], "kd": [5], "kl": [20], "kg": [kg]})
 
 
 def test_grid_thread_invariance(blob_csv, monkeypatch):

@@ -4,7 +4,15 @@ import numpy as np
 import pytest
 
 from bdmbc.data import Dataset, _rng
-from bdmbc.knn import SpatialIndex, build_index, k_distance, k_distances, knn_query
+from bdmbc.knn import (
+    _PARALLEL_MIN_NEIGHBORS,
+    _TIE_PAD,
+    SpatialIndex,
+    build_index,
+    k_distance,
+    k_distances,
+    knn_query,
+)
 
 
 def brute_knn(points, x, k, exclude_index=None):
@@ -126,3 +134,37 @@ def test_3mix_k_distance_against_brute():
         dist = np.linalg.norm(ds.points - ds.points[i], axis=1)
         dist[i] = np.inf
         assert kd[i] == np.sort(dist)[299]
+
+
+@pytest.mark.parametrize("quantized", [False, True])
+def test_wide_query_prefix_equals_narrow_query(quantized, monkeypatch):
+    # The first k columns of a K-list are the k-list, whatever the thread count.
+    pts = 4.0 * _rng(9, 105).random((1200, 2))
+    if quantized:
+        pts = np.round(pts / 0.25) * 0.25
+    wide_k = 40
+    # large enough that the wide query runs on worker threads
+    assert len(pts) * (wide_k + 1 + _TIE_PAD) >= _PARALLEL_MIN_NEIGHBORS
+    exclude = np.arange(len(pts))
+    brute = SpatialIndex._brute_rows
+    brute_rows = []
+
+    def counting_brute_rows(self, queries, k, exc):
+        brute_rows.append(len(queries))
+        return brute(self, queries, k, exc)
+
+    monkeypatch.setattr(SpatialIndex, "_brute_rows", counting_brute_rows)
+    idx = SpatialIndex(pts)
+    tables = []
+    for threads in ("1", "2"):
+        monkeypatch.setenv("BDMBC_THREADS", threads)
+        wide_idx, wide_dist = idx.query_bulk(pts, wide_k, exclude=exclude)
+        for k in (1, 5, 15, 39):
+            nbr, dist = idx.query_bulk(pts, k, exclude=exclude)
+            assert np.array_equal(wide_idx[:, :k], nbr), (threads, k)
+            assert np.array_equal(wide_dist[:, :k], dist), (threads, k)
+        tables.append((wide_idx, wide_dist))
+    assert np.array_equal(tables[0][0], tables[1][0])
+    assert np.array_equal(tables[0][1], tables[1][1])
+    # the tie fallback is exercised on the quantized grid
+    assert (sum(brute_rows) > 0) == quantized
