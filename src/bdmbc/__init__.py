@@ -30,7 +30,7 @@ from .data import (
     scale_minmax,
 )
 from .grid import grid_search
-from .knn import NeighborList, SpatialIndex, build_index, k_distance, k_distances, knn_query
+from .knn import SpatialIndex, k_distances
 from .metrics import ari, contingency, kuhn_munkres, matched_f1_accuracy, metric_report, nmi
 from .plls import PllsScores, dmbc_plls, empirical_plls, mode_set
 
@@ -43,7 +43,6 @@ __all__ = [
     "Dataset",
     "GaussianMixture",
     "NeighborGraph",
-    "NeighborList",
     "PllsScores",
     "SpatialIndex",
     "ari",
@@ -51,7 +50,6 @@ __all__ = [
     "bagging_weight_table",
     "bagging_weights",
     "bdmbc_fit",
-    "build_index",
     "build_kg_graph",
     "connected_components",
     "contingency",
@@ -65,9 +63,7 @@ __all__ = [
     "grid_search",
     "hypothetical_density",
     "infinite_bagged_k_distance",
-    "k_distance",
     "k_distances",
-    "knn_query",
     "kuhn_munkres",
     "load_csv",
     "matched_f1_accuracy",

@@ -123,19 +123,12 @@ def _round_brute(points, sub, k_d):
 
 
 def _round_tree(points, sub, k_d):
-    n = points.shape[0]
-    s = len(sub)
-    sub_index = SpatialIndex(points[sub])
-    # Exclusion works in subsample coordinates: map each global point
-    # to its subsample position, or to an unused slot if absent.
-    pos = np.full(n, s, dtype=np.int64)
-    pos[sub] = np.arange(s)
-    k_eff = min(k_d + 1, s)
-    idx, dist = sub_index.query_bulk(points, k_eff)
-    is_self = idx == pos[:, None]
-    dist = np.where(is_self, np.inf, dist)
-    dist.sort(axis=1)
-    return dist[:, k_d - 1]
+    # Exclusion works in subsample coordinates: each global point maps to
+    # its subsample position, or to -1 (excluding nothing) if absent.
+    pos = np.full(points.shape[0], -1, dtype=np.int64)
+    pos[sub] = np.arange(len(sub))
+    _, dist = SpatialIndex(points[sub]).query_bulk(points, k_d, exclude=pos)
+    return dist[:, -1]
 
 
 def _bagged_per_round(points, plan):

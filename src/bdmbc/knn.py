@@ -2,19 +2,21 @@
 
 Candidate neighbors come from a k-d tree; final distances are recomputed
 with numpy and every neighbor list is ordered by the composite key
-(Euclidean distance, point index).  Rows whose candidate window cannot be
-certified to contain the exact answer (boundary ties) fall back to a full
-scan, so results always agree with brute force.
+(Euclidean distance, point index).  A row whose k-th neighbor ties at the
+edge of its candidate window is queried again with a window twice as wide,
+until the window certifies it or holds every point, so results always agree
+with brute force and cost grows with the tied shell, not with n.
 """
 
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass
 
 import numpy as np
 from scipy.spatial import cKDTree
 
+# Tree candidates per row beyond k in the first window; rows whose k-th
+# neighbor ties at its edge retry with the window doubled.
 _TIE_PAD = 8
 _ROW_CHUNK = 4096
 # Tree queries below this many candidates (rows x candidates per row) run
@@ -35,20 +37,6 @@ def worker_count():
     return value
 
 
-@dataclass(frozen=True)
-class NeighborList:
-    """Neighbors of one query, ascending by (distance, index)."""
-
-    indices: np.ndarray
-    distances: np.ndarray
-
-    def __len__(self):
-        return len(self.indices)
-
-    def __iter__(self):
-        return iter(zip(self.indices.tolist(), self.distances.tolist()))
-
-
 class SpatialIndex:
     """Immutable exact k-NN index over a point matrix.
 
@@ -67,21 +55,12 @@ class SpatialIndex:
         diff = self.points[neighbor_idx] - queries[:, None, :]
         return np.sqrt(np.einsum("ijk,ijk->ij", diff, diff))
 
-    def _brute_rows(self, queries, k, exclude):
-        """Full-scan fallback; exact under the (distance, index) tie rule."""
-        diff = self.points[None, :, :] - queries[:, None, :]
-        dist = np.sqrt(np.einsum("ijk,ijk->ij", diff, diff))
-        if exclude is not None:
-            dist[np.arange(len(queries)), exclude] = np.inf
-        order = np.lexsort((np.broadcast_to(np.arange(self.n), dist.shape), dist))
-        idx = order[:, :k]
-        return idx, np.take_along_axis(dist, idx, axis=1)
-
     def query_bulk(self, queries, k, exclude=None):
         """Exact k nearest neighbors for each query row.
 
-        exclude: optional vector of dataset indices (one per row) omitted
-        from their own neighbor lists (self-exclusion by exact index).
+        exclude: optional vector of dataset indices, one per query row,
+        each omitted from its own row's list (self-exclusion by exact
+        index); an entry outside [0, n) excludes nothing.
         Returns (indices, distances), each (m, k), ordered by the
         (distance, index) key.
         """
@@ -92,19 +71,22 @@ class SpatialIndex:
             raise ValueError(f"k={k} out of range [1, {limit}]")
         if exclude is not None:
             exclude = np.asarray(exclude, dtype=np.int64)
+            if exclude.shape != (m,):
+                raise ValueError(
+                    f"exclude has shape {exclude.shape}, expected one entry per "
+                    f"query row ({m},)"
+                )
+        kq = min(self.n, k + (1 if exclude is not None else 0) + _TIE_PAD)
         out_idx = np.empty((m, k), dtype=np.int64)
         out_dist = np.empty((m, k), dtype=np.float64)
         for lo in range(0, m, _ROW_CHUNK):
             hi = min(lo + _ROW_CHUNK, m)
             exc = exclude[lo:hi] if exclude is not None else None
-            idx, dist = self._query_chunk(queries[lo:hi], k, exc)
-            out_idx[lo:hi] = idx
-            out_dist[lo:hi] = dist
+            out_idx[lo:hi], out_dist[lo:hi] = self._query_chunk(queries[lo:hi], k, exc, kq)
         return out_idx, out_dist
 
-    def _query_chunk(self, queries, k, exclude):
-        k_eff = k + (1 if exclude is not None else 0)
-        kq = min(self.n, k_eff + _TIE_PAD)
+    def _query_chunk(self, queries, k, exclude, kq):
+        """Exact k-lists of a row chunk from a window of kq tree candidates."""
         workers = worker_count() if len(queries) * kq >= _PARALLEL_MIN_NEIGHBORS else 1
         tree_dist, cand = self._tree.query(queries, kq, workers=workers)
         if kq == 1:
@@ -113,43 +95,23 @@ class SpatialIndex:
         dist = self._exact_distances(queries, cand)
         if exclude is not None:
             dist[cand == exclude[:, None]] = np.inf
-        order = np.lexsort((cand, dist))
+        order = np.lexsort((cand, dist))[:, :k]
         cand = np.take_along_axis(cand, order, axis=1)
         dist = np.take_along_axis(dist, order, axis=1)
         if kq < self.n:
             # Points outside the window are no closer than the tree's kq-th
-            # distance (up to rounding); ties there require a full scan.
+            # distance (up to rounding); a k-th neighbor that reaches it may
+            # tie with a lower-index point outside, so retry those rows.
             unsafe = dist[:, k - 1] >= tree_dist[:, -1] * (1.0 - 1e-12)
             if np.any(unsafe):
                 rows = np.flatnonzero(unsafe)
-                bidx, bdist = self._brute_rows(
-                    queries[rows], k, exclude[rows] if exclude is not None else None
+                cand[rows], dist[rows] = self._query_chunk(
+                    queries[rows],
+                    k,
+                    exclude[rows] if exclude is not None else None,
+                    min(self.n, 2 * kq),
                 )
-                cand[rows, :k] = bidx
-                dist[rows, :k] = bdist
-        return cand[:, :k], dist[:, :k]
-
-
-def build_index(ds):
-    """Index a Dataset (or raw point matrix) for exact k-NN queries."""
-    pts = ds.points if hasattr(ds, "points") else ds
-    return SpatialIndex(pts)
-
-
-def knn_query(idx, x, k, exclude_index=None):
-    """k nearest neighbors of a single point under the tie rule.
-
-    exclude_index identifies x as that dataset member and omits it.
-    """
-    exc = None if exclude_index is None else np.array([exclude_index], dtype=np.int64)
-    nbr, dist = idx.query_bulk(np.asarray(x, dtype=np.float64)[None, :], k, exclude=exc)
-    return NeighborList(nbr[0], dist[0])
-
-
-def k_distance(idx, point_index, k):
-    """Distance from a dataset member to its k-th nearest other point."""
-    nl = knn_query(idx, idx.points[point_index], k, exclude_index=point_index)
-    return float(nl.distances[-1])
+        return cand, dist
 
 
 def k_distances(idx, k):

@@ -175,6 +175,25 @@ def test_rank_table_and_per_round_paths_agree():
     assert np.allclose(via_table, via_rounds, rtol=1e-9, atol=1e-12)
 
 
+def test_tree_round_equals_brute_round_on_grid():
+    # s > 1024 and n > 2048 send bagging through per-round trees; on a 0.25
+    # grid both rounds' arithmetic is exact, so they agree bit for bit
+    from bdmbc import bagging
+
+    pts = np.round(24.0 * _rng(7, 16).random((3000, 2))) / 4
+    plan = BaggingPlan(b=2, s=1500, k_d=5, seed=3)
+    assert plan.s > bagging._BRUTE_SUBSAMPLE_MAX_S
+    assert len(pts) > bagging._RANK_TABLE_MAX_N
+    total = np.zeros(len(pts))
+    for b in range(plan.b):
+        sub = subsample(len(pts), plan.s, _round_rng(plan.seed, b))
+        for k_d in (1, plan.k_d, 40):
+            brute = bagging._round_brute(pts, sub, k_d)
+            assert np.array_equal(bagging._round_tree(pts, sub, k_d), brute), (b, k_d)
+        total += bagging._round_brute(pts, sub, plan.k_d)
+    assert np.array_equal(bagged_k_distance(pts, plan), total / plan.b)
+
+
 def test_bagged_scale_equivariance():
     rng = _rng(2, 14)
     pts = rng.random((100, 2))

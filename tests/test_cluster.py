@@ -3,6 +3,9 @@
 Oracles: brute-force edge enumeration and BFS component labeling.
 """
 
+import time
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -304,3 +307,22 @@ def test_fit_equals_public_stage_composition(quantized, bagged):
     assert np.array_equal(res.core_mask, core)
     assert res.num_clusters == num
     assert np.array_equal(res.modes, modes[core[modes]])
+
+
+def test_quantized_fit_memory_and_time_bounded():
+    # On a 1/8 grid nearly every k-NN row ties at the edge of its candidate
+    # window; resolving those ties must cost memory and time in proportion
+    # to the tied shell, not to n for every row.
+    pts = np.round(gen_multiblobs(n=20000, d=2, clusters=6, seed=5).points * 8) / 8
+    cfg = BdmbcConfig(k_d=10, k_l=50, b=5, rho=0.25, k_g=15, lam=0.5, seed=0)
+    tracemalloc.start()
+    try:
+        t0 = time.perf_counter()
+        res = bdmbc_fit(pts, cfg)
+        elapsed = time.perf_counter() - t0
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert res.labels.shape == (20000,)
+    assert peak < 256 * 2**20, f"peak {peak / 2**20:.0f} MiB"
+    assert elapsed < 60.0, f"{elapsed:.1f} s"

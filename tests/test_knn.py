@@ -3,16 +3,8 @@
 import numpy as np
 import pytest
 
-from bdmbc.data import Dataset, _rng
-from bdmbc.knn import (
-    _PARALLEL_MIN_NEIGHBORS,
-    _TIE_PAD,
-    SpatialIndex,
-    build_index,
-    k_distance,
-    k_distances,
-    knn_query,
-)
+from bdmbc.data import _rng
+from bdmbc.knn import _PARALLEL_MIN_NEIGHBORS, _TIE_PAD, SpatialIndex, k_distances
 
 
 def brute_knn(points, x, k, exclude_index=None):
@@ -26,32 +18,33 @@ def brute_knn(points, x, k, exclude_index=None):
 
 
 def test_single_point_index():
-    idx = build_index(Dataset(np.array([[1.0, 2.0]])))
-    nl = knn_query(idx, [0.0, 0.0], 1)
-    assert list(nl) == [(0, pytest.approx(np.sqrt(5.0)))]
+    idx = SpatialIndex(np.array([[1.0, 2.0]]))
+    nbr, dist = idx.query_bulk([0.0, 0.0], 1)
+    assert nbr.tolist() == [[0]]
+    assert dist[0, 0] == pytest.approx(np.sqrt(5.0))
 
 
 def test_line_example():
     idx = SpatialIndex(np.array([[0.0], [1.0], [3.0]]))
-    nl = knn_query(idx, [0.0], 2, exclude_index=0)
-    assert np.array_equal(nl.indices, [1, 2])
-    assert np.array_equal(nl.distances, [1.0, 3.0])
-    assert k_distance(idx, 0, 1) == 1.0
+    nbr, dist = idx.query_bulk([[0.0]], 2, exclude=[0])
+    assert np.array_equal(nbr, [[1, 2]])
+    assert np.array_equal(dist, [[1.0, 3.0]])
+    assert k_distances(idx, 1)[0] == 1.0
 
 
 def test_equidistant_tie_prefers_lower_index():
     idx = SpatialIndex(np.array([[1.0, 0.0], [0.0, 1.0]]))
-    nl = knn_query(idx, [0.0, 0.0], 2)
-    assert np.array_equal(nl.indices, [0, 1])
+    nbr, _ = idx.query_bulk([0.0, 0.0], 2)
+    assert np.array_equal(nbr, [[0, 1]])
 
 
 def test_duplicate_points_ordered_by_index():
     pts = np.array([[0.5, 0.5], [0.0, 0.0], [0.5, 0.5]])
     idx = SpatialIndex(pts)
-    nl = knn_query(idx, [0.5, 0.5], 3)
-    assert np.array_equal(nl.indices, [0, 2, 1])
-    assert nl.distances[0] == 0.0 and nl.distances[1] == 0.0
-    assert k_distance(idx, 0, 1) == 0.0
+    nbr, dist = idx.query_bulk([0.5, 0.5], 3)
+    assert np.array_equal(nbr, [[0, 2, 1]])
+    assert dist[0, 0] == 0.0 and dist[0, 1] == 0.0
+    assert k_distances(idx, 1)[0] == 0.0
 
 
 def test_k_out_of_range():
@@ -59,7 +52,18 @@ def test_k_out_of_range():
     with pytest.raises(ValueError):
         idx.query_bulk(np.zeros((1, 2)), 4)
     with pytest.raises(ValueError):
-        k_distance(idx, 0, 3)  # self excluded, max k is 2
+        k_distances(idx, 3)  # self excluded, max k is 2
+
+
+def test_exclude_needs_one_entry_per_row():
+    idx = SpatialIndex(np.arange(10.0)[:, None])
+    queries = np.zeros((4, 1))
+    for bad in (0, [0, 1, 2], np.arange(5), np.zeros((4, 1), dtype=np.int64)):
+        with pytest.raises(ValueError, match="one entry per query row"):
+            idx.query_bulk(queries, 2, exclude=bad)
+    # entries outside [0, n) exclude nothing
+    nbr, _ = idx.query_bulk(queries, 2, exclude=[-1, 10, 0, 99])
+    assert nbr.tolist() == [[0, 1], [0, 1], [1, 2], [0, 1]]
 
 
 @pytest.mark.parametrize("seed", range(6))
@@ -101,9 +105,11 @@ def test_k_distance_monotone_in_k():
     rng = _rng(3, 103)
     pts = rng.random((60, 3))
     idx = SpatialIndex(pts)
-    for i in range(0, 60, 7):
-        vals = [k_distance(idx, i, k) for k in range(1, 60)]
-        assert all(a <= b for a, b in zip(vals, vals[1:]))
+    rows = np.arange(0, 60, 7)
+    _, dist = idx.query_bulk(pts[rows], 59, exclude=rows)
+    for k in range(1, 60):
+        assert np.array_equal(k_distances(idx, k)[rows], dist[:, k - 1])
+    assert np.all(np.diff(dist, axis=1) >= 0)
 
 
 def test_permutation_covariance():
@@ -136,6 +142,19 @@ def test_3mix_k_distance_against_brute():
         assert kd[i] == np.sort(dist)[299]
 
 
+def record_windows(monkeypatch):
+    """Log (k, window width) of every tree query, first windows and retries."""
+    query_chunk = SpatialIndex._query_chunk
+    windows = []
+
+    def logged_query_chunk(self, queries, k, exclude, kq):
+        windows.append((k, kq))
+        return query_chunk(self, queries, k, exclude, kq)
+
+    monkeypatch.setattr(SpatialIndex, "_query_chunk", logged_query_chunk)
+    return windows
+
+
 @pytest.mark.parametrize("quantized", [False, True])
 def test_wide_query_prefix_equals_narrow_query(quantized, monkeypatch):
     # The first k columns of a K-list are the k-list, whatever the thread count.
@@ -146,14 +165,7 @@ def test_wide_query_prefix_equals_narrow_query(quantized, monkeypatch):
     # large enough that the wide query runs on worker threads
     assert len(pts) * (wide_k + 1 + _TIE_PAD) >= _PARALLEL_MIN_NEIGHBORS
     exclude = np.arange(len(pts))
-    brute = SpatialIndex._brute_rows
-    brute_rows = []
-
-    def counting_brute_rows(self, queries, k, exc):
-        brute_rows.append(len(queries))
-        return brute(self, queries, k, exc)
-
-    monkeypatch.setattr(SpatialIndex, "_brute_rows", counting_brute_rows)
+    windows = record_windows(monkeypatch)
     idx = SpatialIndex(pts)
     tables = []
     for threads in ("1", "2"):
@@ -166,5 +178,31 @@ def test_wide_query_prefix_equals_narrow_query(quantized, monkeypatch):
         tables.append((wide_idx, wide_dist))
     assert np.array_equal(tables[0][0], tables[1][0])
     assert np.array_equal(tables[0][1], tables[1][1])
-    # the tie fallback is exercised on the quantized grid
-    assert (sum(brute_rows) > 0) == quantized
+    # widened retries run on the quantized grid and never on continuous data
+    retries = sum(kq > k + 1 + _TIE_PAD for k, kq in windows)
+    assert (retries > 0) == quantized
+
+
+@pytest.mark.parametrize("values", [[0.5], [0.0, 1.0]])
+def test_window_widens_to_all_points(values, monkeypatch):
+    # All-identical and two-valued sets: a k-th neighbor at the largest
+    # distance ties with points outside every window short of all n.
+    rng = _rng(4, 106)
+    n = 300
+    pts = np.repeat(rng.choice(np.array(values), size=(n, 1)), 3, axis=1)
+    idx = SpatialIndex(pts)
+    windows = record_windows(monkeypatch)
+    for k in (1, 7, 200, n - 1):
+        got_idx, got_dist = idx.query_bulk(pts, k, exclude=np.arange(n))
+        plain_idx, plain_dist = idx.query_bulk(pts, k)
+        # past the first value's copies, the k-th neighbor is the far value
+        if len(values) == 1 or k >= 200:
+            assert max(kq for _, kq in windows) == n, k
+        windows.clear()
+        for i in range(0, n, 13):
+            oi, od = brute_knn(pts, pts[i], k, exclude_index=i)
+            assert np.array_equal(got_idx[i], oi), (k, i)
+            assert np.array_equal(got_dist[i], od), (k, i)
+            oi, od = brute_knn(pts, pts[i], k)
+            assert np.array_equal(plain_idx[i], oi), (k, i)
+            assert np.array_equal(plain_dist[i], od), (k, i)
