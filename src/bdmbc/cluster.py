@@ -235,7 +235,7 @@ def finalize(ds, idx, provisional, core_mask, min_cluster_size):
     return rank[labels], core_mask, num
 
 
-def bdmbc_fit(ds, config, index=None):
+def bdmbc_fit(ds, config):
     """Run the full pipeline on a dataset; deterministic for a fixed seed.
 
     One exact neighbor table of width max(k_l, k_g, and k_d when s == n)
@@ -261,7 +261,7 @@ def bdmbc_fit(ds, config, index=None):
     width = max(config.k_l, config.k_g, config.k_d if s == n else 1)
     timings = {}
     t0 = time.perf_counter()
-    idx = index if index is not None else SpatialIndex(points)
+    idx = SpatialIndex(points)
     timings["index"] = time.perf_counter() - t0
 
     t0 = time.perf_counter()
@@ -274,7 +274,7 @@ def bdmbc_fit(ds, config, index=None):
         del dist
     else:
         plan = BaggingPlan(b=config.b, s=s, k_d=config.k_d, seed=config.seed)
-        bagged = bagged_k_distance(points, plan, index=idx)
+        bagged = bagged_k_distance(points, plan)
     timings["bagged_kdist"] = time.perf_counter() - t0
 
     t0 = time.perf_counter()

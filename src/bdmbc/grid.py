@@ -41,7 +41,7 @@ def _evaluate_threshold(points, idx, graph, scores, lam, min_cluster_size, true_
     return report
 
 
-def grid_search(ds, grid, metric="ari", seed=0, min_cluster_size=None, index=None):
+def grid_search(ds, grid, metric="ari", seed=0, min_cluster_size=None):
     """Evaluate every grid combination; returns rows sorted by the metric.
 
     grid: dict with value lists under any of 'b', 'rho', 'kd', 'kl',
@@ -67,12 +67,17 @@ def grid_search(ds, grid, metric="ari", seed=0, min_cluster_size=None, index=Non
                          ("kl", kls), ("kg", kgs), ("lambda", lams)):
         if not values:
             raise ValueError(f"empty value list for grid parameter {name!r}")
+    if min(bs) < 1:
+        raise ValueError("b must be >= 1")
+    for rho in rhos:
+        if not 0.0 < rho <= 1.0:
+            raise ValueError(f"rho={rho} must lie in (0, 1]")
     kls = [kl for kl in kls if kl <= n - 1]  # larger k_l cells are skipped
     for name, values in (("k_l", kls), ("k_g", kgs)):
         for k in values:
             if not 1 <= k <= n - 1:
                 raise ValueError(f"{name}={k} out of range [1, {n - 1}]")
-    idx = index if index is not None else SpatialIndex(points)
+    idx = SpatialIndex(points)
     nbr = None
     graphs = {}
     rows = []

@@ -77,16 +77,28 @@ class SpatialIndex:
                     f"query row ({m},)"
                 )
         kq = min(self.n, k + (1 if exclude is not None else 0) + _TIE_PAD)
+        # every window runs in row blocks within the first window's rows x kq
+        budget = _ROW_CHUNK * kq
         out_idx = np.empty((m, k), dtype=np.int64)
         out_dist = np.empty((m, k), dtype=np.float64)
-        for lo in range(0, m, _ROW_CHUNK):
-            hi = min(lo + _ROW_CHUNK, m)
-            exc = exclude[lo:hi] if exclude is not None else None
-            out_idx[lo:hi], out_dist[lo:hi] = self._query_chunk(queries[lo:hi], k, exc, kq)
+        rows = np.arange(m)
+        while rows.size:
+            step = max(budget // kq, 1)
+            retry = []
+            for lo in range(0, rows.size, step):
+                block = rows[lo : lo + step]
+                exc = exclude[block] if exclude is not None else None
+                out_idx[block], out_dist[block], tied = self._query_window(
+                    queries[block], k, exc, kq
+                )
+                retry.append(block[tied])
+            rows = np.concatenate(retry)
+            kq = min(self.n, 2 * kq)
         return out_idx, out_dist
 
-    def _query_chunk(self, queries, k, exclude, kq):
-        """Exact k-lists of a row chunk from a window of kq tree candidates."""
+    def _query_window(self, queries, k, exclude, kq):
+        """Exact k-lists from a window of kq tree candidates per row, and
+        the rows that must retry with a wider window."""
         workers = worker_count() if len(queries) * kq >= _PARALLEL_MIN_NEIGHBORS else 1
         tree_dist, cand = self._tree.query(queries, kq, workers=workers)
         if kq == 1:
@@ -98,20 +110,11 @@ class SpatialIndex:
         order = np.lexsort((cand, dist))[:, :k]
         cand = np.take_along_axis(cand, order, axis=1)
         dist = np.take_along_axis(dist, order, axis=1)
-        if kq < self.n:
-            # Points outside the window are no closer than the tree's kq-th
-            # distance (up to rounding); a k-th neighbor that reaches it may
-            # tie with a lower-index point outside, so retry those rows.
-            unsafe = dist[:, k - 1] >= tree_dist[:, -1] * (1.0 - 1e-12)
-            if np.any(unsafe):
-                rows = np.flatnonzero(unsafe)
-                cand[rows], dist[rows] = self._query_chunk(
-                    queries[rows],
-                    k,
-                    exclude[rows] if exclude is not None else None,
-                    min(self.n, 2 * kq),
-                )
-        return cand, dist
+        # Points outside the window are no closer than the tree's kq-th
+        # distance (up to rounding); a k-th neighbor that reaches it may
+        # tie with a lower-index point outside, unless the window holds all n.
+        tied = dist[:, k - 1] >= tree_dist[:, -1] * (1.0 - 1e-12)
+        return cand, dist, tied & (kq < self.n)
 
 
 def k_distances(idx, k):

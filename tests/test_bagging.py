@@ -105,6 +105,32 @@ def test_weights_match_exact_rationals():
         assert abs(p.sum() - 1.0) <= 1e-12
 
 
+def test_weights_exact_at_mode_for_large_n():
+    # Past n ~ 1e4, a float64 log row summed up from its first weight can
+    # drift past 1e-10 at the mode; summed outward from the mode it does not.
+    rng = np.random.default_rng(1)
+    for _ in range(30):
+        n = int(rng.integers(10**4, 10**5 + 1))
+        s = int(rng.integers(1, n + 1))
+        k = int(rng.integers(1, s + 1))
+        p = bagging_weights(n, s, k)
+        i = int(np.argmax(p)) + 1
+        ex = float(Fraction(comb(i - 1, k - 1) * comb(n - i, s - k), comb(n, s)))
+        assert abs(p[i - 1] - ex) <= 1e-10 * ex, (n, s, k)
+
+
+@pytest.mark.parametrize("k", [200, 500])
+def test_weights_finite_and_normalized_at_million(k):
+    # (s/n)^k underflows here, so a row built up from its first weight
+    # would be all zeros
+    n, s = 10**6, 10**3
+    p = bagging_weights(n, s, k)
+    assert np.all(np.isfinite(p))
+    assert abs(p.sum() - 1.0) <= 1e-9
+    mean_rank = k * (n + 1) / (s + 1)
+    assert abs(int(np.argmax(p)) + 1 - mean_rank) <= (n + 1) / (s + 1)
+
+
 def test_weight_support_and_positivity():
     p = bagging_weights(20, 8, 3)
     inside = np.arange(1, 21)

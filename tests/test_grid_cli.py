@@ -83,6 +83,30 @@ def test_grid_requires_labels_and_lists(blob_csv):
             grid_search(ds, {"b": [1], "rho": [0.5], "kd": [5], "kl": [20], "kg": [kg]})
 
 
+def test_grid_rejects_rho_and_b_before_any_cell(tmp_path, blob_csv, monkeypatch):
+    path, ds = blob_csv
+
+    def no_bagging(*args, **kwargs):
+        raise AssertionError("a cell ran before the grid was validated")
+
+    monkeypatch.setattr("bdmbc.grid.bagged_k_distance", no_bagging)
+    base = {"b": [1], "rho": [0.5], "kd": [5], "kl": [20], "kg": [5]}
+    # rho <= 0 used to skip every cell, and rho > 1 to raise only after
+    # the earlier rho values' cells had run
+    for rho in (0.0, -0.5, 1.5):
+        with pytest.raises(ValueError, match=r"must lie in \(0, 1\]"):
+            grid_search(ds, {**base, "rho": [0.5, rho]})
+    with pytest.raises(ValueError, match="b must be >= 1"):
+        grid_search(ds, {**base, "b": [2, 0]})
+    gridspec = tmp_path / "grid.json"
+    gridspec.write_text(json.dumps({**base, "rho": [0.0]}))
+    out = tmp_path / "grid.csv"
+    code = main(["grid", str(path), "--label-column", "2",
+                 "--grid", str(gridspec), "--out", str(out)])
+    assert code == 2
+    assert not out.exists()
+
+
 def test_grid_thread_invariance(blob_csv, monkeypatch):
     _, ds = blob_csv
     grid = {"b": [2], "rho": [0.5], "kd": [5], "kl": [30],

@@ -1,5 +1,7 @@
 """Exactness of the spatial index against an independent brute-force oracle."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -144,14 +146,14 @@ def test_3mix_k_distance_against_brute():
 
 def record_windows(monkeypatch):
     """Log (k, window width) of every tree query, first windows and retries."""
-    query_chunk = SpatialIndex._query_chunk
+    query_window = SpatialIndex._query_window
     windows = []
 
-    def logged_query_chunk(self, queries, k, exclude, kq):
+    def logged_query_window(self, queries, k, exclude, kq):
         windows.append((k, kq))
-        return query_chunk(self, queries, k, exclude, kq)
+        return query_window(self, queries, k, exclude, kq)
 
-    monkeypatch.setattr(SpatialIndex, "_query_chunk", logged_query_chunk)
+    monkeypatch.setattr(SpatialIndex, "_query_window", logged_query_window)
     return windows
 
 
@@ -206,3 +208,22 @@ def test_window_widens_to_all_points(values, monkeypatch):
             oi, od = brute_knn(pts, pts[i], k)
             assert np.array_equal(plain_idx[i], oi), (k, i)
             assert np.array_equal(plain_dist[i], od), (k, i)
+
+
+def test_identical_points_widen_in_bounded_memory():
+    # Every row of an all-identical set widens its window to all n points;
+    # the retries run in row blocks, so memory stays near the first window's
+    # instead of rows x n x d per chunk.
+    n, k = 2500, 5
+    pts = np.full((n, 2), 0.5)
+    tracemalloc.start()
+    try:
+        nbr, dist = SpatialIndex(pts).query_bulk(pts, k, exclude=np.arange(n))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    # all distances tie at 0, so each row takes the lowest indices but its own
+    expected = np.array([[j for j in range(k + 1) if j != i][:k] for i in range(n)])
+    assert np.array_equal(nbr, expected)
+    assert np.all(dist == 0.0)
+    assert peak < 128 * 2**20, f"peak {peak / 2**20:.0f} MiB"
