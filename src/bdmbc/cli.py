@@ -108,11 +108,10 @@ def cmd_grid(args):
         writer.writerow(GRID_COLUMNS)
         for row in rows:
             writer.writerow([row[c] for c in GRID_COLUMNS])
-    if rows:
-        best = rows[0]
-        print(f"best {metric}={best[metric]:.4f} at "
-              f"b={best['b']} rho={best['rho']} kd={best['kd']} kl={best['kl']} "
-              f"kg={best['kg']} lambda={best['lambda']}")
+    best = rows[0]
+    print(f"best {metric}={best[metric]:.4f} at "
+          f"b={best['b']} rho={best['rho']} kd={best['kd']} kl={best['kl']} "
+          f"kg={best['kg']} lambda={best['lambda']}")
     return 0
 
 

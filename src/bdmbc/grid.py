@@ -72,7 +72,12 @@ def grid_search(ds, grid, metric="ari", seed=0, min_cluster_size=None):
     for rho in rhos:
         if not 0.0 < rho <= 1.0:
             raise ValueError(f"rho={rho} must lie in (0, 1]")
-    kls = [kl for kl in kls if kl <= n - 1]  # larger k_l cells are skipped
+    # cells with kd >= s or k_l > n - 1 are skipped, but not all of them
+    if min(kds) >= int(np.ceil(max(rhos) * n)):
+        raise ValueError(f"no grid cell has kd < s = ceil(rho * n) for n={n}")
+    kls = [kl for kl in kls if kl <= n - 1]
+    if not kls:
+        raise ValueError(f"no grid cell has k_l <= n - 1 = {n - 1}")
     for name, values in (("k_l", kls), ("k_g", kgs)):
         for k in values:
             if not 1 <= k <= n - 1:

@@ -6,11 +6,18 @@ with numpy and every neighbor list is ordered by the composite key
 edge of its candidate window is queried again with a window twice as wide,
 until the window certifies it or holds every point, so results always agree
 with brute force and cost grows with the tied shell, not with n.
+
+Each window pass runs in row blocks.  Large passes hand whole blocks (tree
+query, exact distances, sort and tie test) to a thread pool of
+worker_count() threads created for that query; every block writes only its
+own rows, and a row's result never depends on its block, so the output is
+identical for any thread count.
 """
 
 from __future__ import annotations
 
 import os
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 from scipy.spatial import cKDTree
@@ -18,21 +25,25 @@ from scipy.spatial import cKDTree
 # Tree candidates per row beyond k in the first window; rows whose k-th
 # neighbor ties at its edge retry with the window doubled.
 _TIE_PAD = 8
-_ROW_CHUNK = 4096
-# Tree queries below this many candidates (rows x candidates per row) run
-# on one thread: starting workers costs about 0.2 ms a call, more than small
-# batches such as the grid's per-cell 1-NN assignments gain from them.
+_ROW_CHUNK = 1024
+# Window passes below this many candidates (rows x candidates per row) run
+# their blocks inline on the calling thread: starting pool threads costs
+# about 0.2 ms a call, more than small batches such as the grid's per-cell
+# 1-NN assignments gain from them.
 _PARALLEL_MIN_NEIGHBORS = 1 << 15
 
 
 def worker_count():
-    """Parallelism cap from BDMBC_THREADS (0 or unset = auto)."""
+    """Parallelism cap from BDMBC_THREADS (0 or unset = the CPUs this
+    process may run on)."""
     raw = os.environ.get("BDMBC_THREADS", "0")
     try:
         value = int(raw)
     except ValueError:
         value = 0
     if value <= 0:
+        if hasattr(os, "sched_getaffinity"):
+            return len(os.sched_getaffinity(0))
         return os.cpu_count() or 1
     return value
 
@@ -77,30 +88,44 @@ class SpatialIndex:
                     f"query row ({m},)"
                 )
         kq = min(self.n, k + (1 if exclude is not None else 0) + _TIE_PAD)
-        # every window runs in row blocks within the first window's rows x kq
+        # every window runs in row blocks within the first window's rows x kq,
+        # at most worker_count() blocks at a time
         budget = _ROW_CHUNK * kq
         out_idx = np.empty((m, k), dtype=np.int64)
         out_dist = np.empty((m, k), dtype=np.float64)
+
+        def run_block(block, kq):
+            # writes only this block's rows; returns those that must retry
+            exc = exclude[block] if exclude is not None else None
+            out_idx[block], out_dist[block], tied = self._query_window(
+                queries[block], k, exc, kq
+            )
+            return block[tied]
+
         rows = np.arange(m)
-        while rows.size:
-            step = max(budget // kq, 1)
-            retry = []
-            for lo in range(0, rows.size, step):
-                block = rows[lo : lo + step]
-                exc = exclude[block] if exclude is not None else None
-                out_idx[block], out_dist[block], tied = self._query_window(
-                    queries[block], k, exc, kq
-                )
-                retry.append(block[tied])
-            rows = np.concatenate(retry)
-            kq = min(self.n, 2 * kq)
+        pool = None
+        try:
+            while rows.size:
+                step = max(budget // kq, 1)
+                blocks = [rows[lo : lo + step] for lo in range(0, rows.size, step)]
+                workers = worker_count() if rows.size * kq >= _PARALLEL_MIN_NEIGHBORS else 1
+                if workers > 1 and len(blocks) > 1:
+                    if pool is None:
+                        pool = ThreadPoolExecutor(workers)
+                    retry = list(pool.map(run_block, blocks, [kq] * len(blocks)))
+                else:
+                    retry = [run_block(block, kq) for block in blocks]
+                rows = np.concatenate(retry)
+                kq = min(self.n, 2 * kq)
+        finally:
+            if pool is not None:
+                pool.shutdown()
         return out_idx, out_dist
 
     def _query_window(self, queries, k, exclude, kq):
         """Exact k-lists from a window of kq tree candidates per row, and
         the rows that must retry with a wider window."""
-        workers = worker_count() if len(queries) * kq >= _PARALLEL_MIN_NEIGHBORS else 1
-        tree_dist, cand = self._tree.query(queries, kq, workers=workers)
+        tree_dist, cand = self._tree.query(queries, kq)
         if kq == 1:
             tree_dist = tree_dist[:, None]
             cand = cand[:, None]

@@ -107,6 +107,30 @@ def test_grid_rejects_rho_and_b_before_any_cell(tmp_path, blob_csv, monkeypatch)
     assert not out.exists()
 
 
+def test_grid_without_valid_cell_is_rejected(tmp_path, blob_csv, monkeypatch):
+    path, ds = blob_csv
+
+    def no_bagging(*args, **kwargs):
+        raise AssertionError("a cell ran before the grid was validated")
+
+    monkeypatch.setattr("bdmbc.grid.bagged_k_distance", no_bagging)
+    base = {"b": [1], "rho": [0.5], "kd": [5], "kl": [20], "kg": [5]}
+    # 300 points: s = ceil(0.001 * 300) = 1 <= kd, and k_l = 400 > n - 1;
+    # both used to skip every cell and return no rows
+    for bad, match in (({"rho": [0.001], "kd": [5]}, "kd < s"),
+                       ({"rho": [0.001, 0.01], "kd": [3, 5]}, "kd < s"),
+                       ({"kl": [400]}, "k_l <= n - 1")):
+        with pytest.raises(ValueError, match=match):
+            grid_search(ds, {**base, **bad})
+        gridspec = tmp_path / "grid.json"
+        gridspec.write_text(json.dumps({**base, **bad}))
+        out = tmp_path / "grid.csv"
+        code = main(["grid", str(path), "--label-column", "2",
+                     "--grid", str(gridspec), "--out", str(out)])
+        assert code == 2
+        assert not out.exists()
+
+
 def test_grid_thread_invariance(blob_csv, monkeypatch):
     _, ds = blob_csv
     grid = {"b": [2], "rho": [0.5], "kd": [5], "kl": [30],
@@ -125,6 +149,10 @@ def test_worker_count(monkeypatch):
     assert worker_count() >= 1
     monkeypatch.setenv("BDMBC_THREADS", "junk")
     assert worker_count() >= 1
+    # auto mode counts only the CPUs this process may run on
+    monkeypatch.setenv("BDMBC_THREADS", "0")
+    monkeypatch.setattr("os.sched_getaffinity", lambda pid: {0}, raising=False)
+    assert worker_count() == 1
 
 
 # --------------------------------------------------------------------- CLI

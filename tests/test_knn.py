@@ -1,12 +1,19 @@
 """Exactness of the spatial index against an independent brute-force oracle."""
 
+import threading
 import tracemalloc
 
 import numpy as np
 import pytest
 
 from bdmbc.data import _rng
-from bdmbc.knn import _PARALLEL_MIN_NEIGHBORS, _TIE_PAD, SpatialIndex, k_distances
+from bdmbc.knn import (
+    _PARALLEL_MIN_NEIGHBORS,
+    _ROW_CHUNK,
+    _TIE_PAD,
+    SpatialIndex,
+    k_distances,
+)
 
 
 def brute_knn(points, x, k, exclude_index=None):
@@ -145,12 +152,13 @@ def test_3mix_k_distance_against_brute():
 
 
 def record_windows(monkeypatch):
-    """Log (k, window width) of every tree query, first windows and retries."""
+    """Log (k, window width, thread) of every tree query, first windows and
+    retries."""
     query_window = SpatialIndex._query_window
     windows = []
 
     def logged_query_window(self, queries, k, exclude, kq):
-        windows.append((k, kq))
+        windows.append((k, kq, threading.get_ident()))
         return query_window(self, queries, k, exclude, kq)
 
     monkeypatch.setattr(SpatialIndex, "_query_window", logged_query_window)
@@ -181,8 +189,45 @@ def test_wide_query_prefix_equals_narrow_query(quantized, monkeypatch):
     assert np.array_equal(tables[0][0], tables[1][0])
     assert np.array_equal(tables[0][1], tables[1][1])
     # widened retries run on the quantized grid and never on continuous data
-    retries = sum(kq > k + 1 + _TIE_PAD for k, kq in windows)
+    retries = sum(kq > k + 1 + _TIE_PAD for k, kq, _ in windows)
     assert (retries > 0) == quantized
+
+
+def test_pool_blocks_are_deterministic_across_thread_counts(monkeypatch):
+    # Tied rows on a 0.25 grid widen twice; every pass spans several blocks
+    # above the parallel floor, so retries also run on pool threads.
+    n, k = 4000, 20
+    pts = np.round(4.0 * _rng(12, 107).random((n, 2)) / 0.25) * 0.25
+    assert n > 3 * _ROW_CHUNK  # at least three blocks in the first pass
+    assert n * (k + 1 + _TIE_PAD) >= _PARALLEL_MIN_NEIGHBORS
+    calls = record_windows(monkeypatch)
+    idx = SpatialIndex(pts)
+    exclude = np.arange(n)
+    caller = threading.get_ident()
+    tables = {}
+    for threads in ("1", "2", "3"):
+        monkeypatch.setenv("BDMBC_THREADS", threads)
+        calls.clear()
+        tables[threads] = idx.query_bulk(pts, k, exclude=exclude)
+        idents = {ident for _, _, ident in calls}
+        retry_idents = {ident for _, kq, ident in calls if kq > k + 1 + _TIE_PAD}
+        if threads == "1":
+            assert idents == {caller}
+        else:
+            assert len(idents) > 1 and caller not in idents
+            assert len(retry_idents) > 1
+        # a pass below the floor runs inline on the calling thread
+        calls.clear()
+        idx.query_bulk(pts[:100], 5)
+        assert {ident for _, _, ident in calls} == {caller}
+    for threads in ("2", "3"):
+        assert np.array_equal(tables[threads][0], tables["1"][0]), threads
+        assert np.array_equal(tables[threads][1], tables["1"][1]), threads
+    got_idx, got_dist = tables["1"]
+    for i in range(0, n, 97):
+        oi, od = brute_knn(pts, pts[i], k, exclude_index=i)
+        assert np.array_equal(got_idx[i], oi), i
+        assert np.array_equal(got_dist[i], od), i
 
 
 @pytest.mark.parametrize("values", [[0.5], [0.0, 1.0]])
@@ -199,7 +244,7 @@ def test_window_widens_to_all_points(values, monkeypatch):
         plain_idx, plain_dist = idx.query_bulk(pts, k)
         # past the first value's copies, the k-th neighbor is the far value
         if len(values) == 1 or k >= 200:
-            assert max(kq for _, kq in windows) == n, k
+            assert max(kq for _, kq, _ in windows) == n, k
         windows.clear()
         for i in range(0, n, 13):
             oi, od = brute_knn(pts, pts[i], k, exclude_index=i)
