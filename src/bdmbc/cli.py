@@ -129,6 +129,9 @@ def _bench_one(ds, config):
 
 def cmd_bench(args):
     ds = _load_dataset(args)
+    if ds.n < 2:
+        # a one-point fit returns before any stage runs, so it has no timings
+        raise DataError(f"{args.data}: bench needs at least 2 points, got {ds.n}")
     with open(args.config_a) as fh:
         config_a = _config_from_mapping(json.load(fh))
     with open(args.config_b) as fh:

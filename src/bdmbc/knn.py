@@ -1,17 +1,27 @@
 """Exact k-nearest-neighbor queries with deterministic tie-breaking.
 
-Candidate neighbors come from a k-d tree; final distances are recomputed
-with numpy and every neighbor list is ordered by the composite key
-(Euclidean distance, point index).  A row whose k-th neighbor ties at the
-edge of its candidate window is queried again with a window twice as wide,
-until the window certifies it or holds every point, so results always agree
-with brute force and cost grows with the tied shell, not with n.
+The index holds distinct locations, not points: copies of one coordinate
+row share a location, whose members are kept in ascending index order.
+Candidate locations come from a k-d tree over the locations; final
+distances are recomputed with numpy and every neighbor list is ordered by
+the composite key (Euclidean distance, point index).  All members of a
+location lie at one distance, so a candidate location contributes at most
+as many of its lowest members as the list holds.  A row whose k-th
+neighbor ties at the edge of its candidate window is queried again with a
+window of twice as many locations, until the window certifies it or holds
+every location, so results always agree with brute force and cost grows
+with the tied shell of locations, not with n.
 
-Each window pass runs in row blocks.  Large passes hand whole blocks (tree
-query, exact distances, sort and tie test) to a thread pool of
-worker_count() threads created for that query; every block writes only its
-own rows, and a row's result never depends on its block, so the output is
-identical for any thread count.
+Query rows are grouped the same way.  Rows with equal coordinates share
+one list, solved once (for k + 1 members when rows exclude an index, each
+row then dropping its own), so query cost grows with distinct locations,
+not with copies.
+
+Each window pass runs in blocks of query locations.  Large passes hand
+whole blocks (tree query, exact distances, sort, tie test and the writes
+of the block's rows) to a thread pool of worker_count() threads created for
+that query; every block writes only its own rows, and a row's result never
+depends on its block, so the output is identical for any thread count.
 """
 
 from __future__ import annotations
@@ -48,6 +58,45 @@ def worker_count():
     return value
 
 
+def _group_rows(x):
+    """Distinct rows of a C-contiguous float64 matrix, keyed by their bytes
+    and numbered in order of first occurrence.
+
+    Returns (first row of each location, all rows grouped by location in
+    ascending order within each group, start of each group, group sizes).
+    Rows are sorted by a hash of their bytes, and neighbors in that order
+    share a location when their bytes are equal.  Two locations may then
+    hold equal rows (a hash collision, or +0.0 against -0.0); that only
+    costs a second list for the same answer.
+    """
+    n = x.shape[0]
+    bits = x.view(np.uint64)
+    key = bits[:, 0]
+    for column in range(1, bits.shape[1]):
+        key = key * np.uint64(0x9E3779B97F4A7C15) + bits[:, column]
+    order = np.argsort(key, kind="stable")
+    key = key[order]
+    same = np.flatnonzero(key[1:] == key[:-1])
+    same = same[np.all(bits[order[same]] == bits[order[same + 1]], axis=1)]
+    if same.size == 0:
+        # every row is its own location
+        ident = np.arange(n)
+        return ident, ident, ident, np.ones_like(ident)
+    new = np.ones(n, dtype=bool)
+    new[same + 1] = False
+    starts = np.flatnonzero(new)
+    sizes = np.diff(starts, append=n)
+    by_first = np.argsort(order[starts])
+    starts, sizes = starts[by_first], sizes[by_first]
+    return order[starts], order[_ranges(starts, sizes)], np.cumsum(sizes) - sizes, sizes
+
+
+def _ranges(starts, sizes):
+    """Concatenation of the ranges starts[i] .. starts[i] + sizes[i] - 1."""
+    ends = np.cumsum(sizes)
+    return np.arange(ends[-1] if ends.size else 0) + np.repeat(starts - ends + sizes, sizes)
+
+
 class SpatialIndex:
     """Immutable exact k-NN index over a point matrix.
 
@@ -60,10 +109,14 @@ class SpatialIndex:
             raise ValueError("index requires an (n, d) matrix with n >= 1")
         self.points = pts
         self.n, self.d = pts.shape
-        self._tree = cKDTree(pts)
+        # locations are numbered by their lowest member; without duplicates
+        # they are the points themselves
+        self._lowest, self._members, self._starts, self._sizes = _group_rows(pts)
+        self._locations = pts if self._lowest.size == self.n else pts[self._lowest]
+        self._tree = cKDTree(self._locations)
 
-    def _exact_distances(self, queries, neighbor_idx):
-        diff = self.points[neighbor_idx] - queries[:, None, :]
+    def _exact_distances(self, queries, locations):
+        diff = self._locations[locations] - queries[:, None, :]
         return np.sqrt(np.einsum("ijk,ijk->ij", diff, diff))
 
     def query_bulk(self, queries, k, exclude=None):
@@ -75,7 +128,7 @@ class SpatialIndex:
         Returns (indices, distances), each (m, k), ordered by the
         (distance, index) key.
         """
-        queries = np.atleast_2d(np.asarray(queries, dtype=np.float64))
+        queries = np.ascontiguousarray(np.atleast_2d(np.asarray(queries, dtype=np.float64)))
         m = queries.shape[0]
         limit = self.n - (1 if exclude is not None else 0)
         if not 1 <= k <= limit:
@@ -87,59 +140,111 @@ class SpatialIndex:
                     f"exclude has shape {exclude.shape}, expected one entry per "
                     f"query row ({m},)"
                 )
-        kq = min(self.n, k + (1 if exclude is not None else 0) + _TIE_PAD)
-        # every window runs in row blocks within the first window's rows x kq,
-        # at most worker_count() blocks at a time
+        # one list of kk members per distinct query location
+        kk = k + (1 if exclude is not None else 0)
+        first, rows_by_loc, row_starts, row_sizes = _group_rows(queries)
+        sites = queries if first.size == m else queries[first]
+        kq = min(self._lowest.size, kk + _TIE_PAD)
+        # every window runs in blocks within the first window's locations x
+        # kq, at most worker_count() blocks at a time
         budget = _ROW_CHUNK * kq
         out_idx = np.empty((m, k), dtype=np.int64)
         out_dist = np.empty((m, k), dtype=np.float64)
 
         def run_block(block, kq):
-            # writes only this block's rows; returns those that must retry
-            exc = exclude[block] if exclude is not None else None
-            out_idx[block], out_dist[block], tied = self._query_window(
-                queries[block], k, exc, kq
-            )
+            # writes only the rows at this block's certified locations;
+            # returns the locations that must retry
+            nbr, dist, tied = self._query_window(sites[block], kk, kq)
+            done = block[~tied]
+            rows = rows_by_loc[_ranges(row_starts[done], row_sizes[done])]
+            owner = np.repeat(np.flatnonzero(~tied), row_sizes[done])
+            for lo in range(0, rows.size, _ROW_CHUNK):
+                row, own = rows[lo : lo + _ROW_CHUNK], owner[lo : lo + _ROW_CHUNK]
+                row_idx, row_dist = nbr[own], dist[own]
+                if exclude is not None:
+                    # each row drops its excluded index, or else the (k+1)-th
+                    keep = row_idx != exclude[row, None]
+                    keep[:, k] &= ~keep.all(axis=1)
+                    row_idx = row_idx[keep].reshape(-1, k)
+                    row_dist = row_dist[keep].reshape(-1, k)
+                out_idx[row], out_dist[row] = row_idx, row_dist
             return block[tied]
 
-        rows = np.arange(m)
+        pending = np.arange(first.size)
         pool = None
         try:
-            while rows.size:
+            while pending.size:
                 step = max(budget // kq, 1)
-                blocks = [rows[lo : lo + step] for lo in range(0, rows.size, step)]
-                workers = worker_count() if rows.size * kq >= _PARALLEL_MIN_NEIGHBORS else 1
+                blocks = [pending[lo : lo + step] for lo in range(0, pending.size, step)]
+                workers = worker_count() if pending.size * kq >= _PARALLEL_MIN_NEIGHBORS else 1
                 if workers > 1 and len(blocks) > 1:
                     if pool is None:
                         pool = ThreadPoolExecutor(workers)
                     retry = list(pool.map(run_block, blocks, [kq] * len(blocks)))
                 else:
                     retry = [run_block(block, kq) for block in blocks]
-                rows = np.concatenate(retry)
-                kq = min(self.n, 2 * kq)
+                pending = np.concatenate(retry)
+                kq = min(self._lowest.size, 2 * kq)
         finally:
             if pool is not None:
                 pool.shutdown()
         return out_idx, out_dist
 
-    def _query_window(self, queries, k, exclude, kq):
-        """Exact k-lists from a window of kq tree candidates per row, and
-        the rows that must retry with a wider window."""
+    def _query_window(self, queries, kk, kq):
+        """Exact kk-lists from a window of kq tree candidate locations per
+        row, and the rows that must retry with a wider window."""
         tree_dist, cand = self._tree.query(queries, kq)
         if kq == 1:
             tree_dist = tree_dist[:, None]
             cand = cand[:, None]
         dist = self._exact_distances(queries, cand)
-        if exclude is not None:
-            dist[cand == exclude[:, None]] = np.inf
-        order = np.lexsort((cand, dist))[:, :k]
+        # locations are numbered in the order of their lowest members
+        order = np.lexsort((cand, dist))
         cand = np.take_along_axis(cand, order, axis=1)
         dist = np.take_along_axis(dist, order, axis=1)
-        # Points outside the window are no closer than the tree's kq-th
-        # distance (up to rounding); a k-th neighbor that reaches it may
-        # tie with a lower-index point outside, unless the window holds all n.
-        tied = dist[:, k - 1] >= tree_dist[:, -1] * (1.0 - 1e-12)
-        return cand, dist, tied & (kq < self.n)
+        # A row whose kk first locations by (distance, lowest member) are
+        # single points takes them as its list: every other member sorts
+        # after its location's lowest.  Without duplicates every row does.
+        # When kq < kk the window holds all locations, fewer than n, so one
+        # of them has copies and every row expands.
+        multi = np.flatnonzero(np.any(self._sizes[cand[:, :kk]] > 1, axis=1))
+        if multi.size < len(cand):
+            nbr, head = self._lowest[cand[:, :kk]], dist[:, :kk]
+            if multi.size:
+                nbr[multi], head[multi] = self._expand(cand[multi], dist[multi], kk)
+        else:
+            nbr, head = self._expand(cand, dist, kk)
+        # Locations outside the window are no closer than the tree's kq-th
+        # distance (up to rounding); a kk-th neighbor that reaches it may tie
+        # with a lower-index point outside, unless the window holds every
+        # location.
+        tied = head[:, kk - 1] >= tree_dist[:, -1] * (1.0 - 1e-12)
+        return nbr, head, tied & (kq < self._lowest.size)
+
+    def _expand(self, cand, dist, kk):
+        """kk-lists of members from candidate locations sorted by (distance,
+        lowest member): a location gives at most kk members, its lowest, and
+        the list reaches no location farther than the one holding its kk-th
+        member."""
+        take = np.minimum(self._sizes[cand], kk)
+        reach = np.cumsum(take, axis=1)
+        edge = np.minimum(np.sum(reach < kk, axis=1), cand.shape[1] - 1)
+        edge_dist = np.take_along_axis(dist, edge[:, None], axis=1)
+        take[dist > edge_dist] = 0
+        slots = take.sum(axis=1)
+        members = self._members[_ranges(self._starts[cand.ravel()], take.ravel())]
+        filled = np.arange(max(slots.max(), kk)) < slots[:, None]
+        # a window short of kk members pads with (inf, n) and retries
+        nbr = np.full(filled.shape, self.n, dtype=np.int64)
+        nbr[filled] = members
+        padded = np.full(filled.shape, np.inf)
+        padded[filled] = np.repeat(dist.ravel(), take.ravel())
+        # distances already rise along each row, so the (distance, index)
+        # order is index order within each run of equal distance
+        key = np.zeros(filled.shape, dtype=np.int64)
+        np.cumsum(padded[:, 1:] != padded[:, :-1], axis=1, out=key[:, 1:])
+        order = np.argsort(key * (self.n + 1) + nbr, axis=1, kind="stable")[:, :kk]
+        return np.take_along_axis(nbr, order, axis=1), np.take_along_axis(padded, order, axis=1)
 
 
 def k_distances(idx, k):

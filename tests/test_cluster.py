@@ -326,3 +326,16 @@ def test_quantized_fit_memory_and_time_bounded():
     assert res.labels.shape == (20000,)
     assert peak < 256 * 2**20, f"peak {peak / 2**20:.0f} MiB"
     assert elapsed < 60.0, f"{elapsed:.1f} s"
+
+
+def test_quantized_100k_fit_time_bounded():
+    # 100k blobs on a 0.25 grid hold only 330 distinct locations; the k-NN
+    # solves each once, so the fit takes about 1 s (71 s when every copy
+    # re-walked its tied shell).
+    pts = np.round(gen_multiblobs(n=100000, d=2, clusters=6, seed=5).points / 0.25) * 0.25
+    cfg = BdmbcConfig(k_d=10, k_l=50, b=5, rho=0.25, k_g=15, lam=0.5, seed=0)
+    t0 = time.perf_counter()
+    res = bdmbc_fit(pts, cfg)
+    elapsed = time.perf_counter() - t0
+    assert res.labels.shape == (100000,)
+    assert elapsed < 15.0, f"{elapsed:.1f} s"

@@ -267,6 +267,22 @@ def test_cli_bench(tmp_path, blob_csv):
         assert "bagged_kdist" in report[side]["timings"]
 
 
+def test_cli_bench_rejects_one_point(tmp_path, capsys):
+    # cluster accepts a one-point file; bench has no stage timings to compare
+    data = tmp_path / "one.csv"
+    data.write_text("0.5,1.5\n")
+    config = tmp_path / "c.json"
+    config.write_text(json.dumps({"kd": 5, "kl": 30}))
+    assert main(["cluster", str(data), "--kd", "5", "--kl", "30",
+                 "--out", str(tmp_path / "r")]) == 0
+    capsys.readouterr()
+    code = main(["bench", str(data), "--config-a", str(config),
+                 "--config-b", str(config), "--out", str(tmp_path / "bench.json")])
+    assert code == 2
+    assert "bench needs at least 2 points, got 1" in capsys.readouterr().err
+    assert not (tmp_path / "bench.json").exists()
+
+
 def test_cli_deterministic_output(tmp_path, blob_csv):
     path, _ = blob_csv
     args = ["cluster", str(path), "--label-column", "2",

@@ -1,6 +1,7 @@
 """Exactness of the spatial index against an independent brute-force oracle."""
 
 import threading
+import time
 import tracemalloc
 
 import numpy as np
@@ -151,29 +152,173 @@ def test_3mix_k_distance_against_brute():
         assert kd[i] == np.sort(dist)[299]
 
 
+def with_copies(rng, n, d, hubs, copies):
+    """n quantized points plus `copies` copies of `hubs` of them, shuffled."""
+    base = np.round(rng.random((n, d)) * 8) / 8
+    extra = base[rng.integers(hubs, size=copies)]
+    pts = np.concatenate([base, extra])
+    return pts[rng.permutation(len(pts))]
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_heavy_duplicates_match_brute_force(seed):
+    # A few locations hold most points, the rest are near-distinct; rows at
+    # one location share a list and each drops only its own index.
+    rng = _rng(seed, 108)
+    d = int(rng.integers(1, 4))
+    pts = with_copies(rng, int(rng.integers(20, 150)), d, 3, int(rng.integers(50, 400)))
+    n = len(pts)
+    idx = SpatialIndex(pts)
+    for k in (1, int(rng.integers(2, 60)), n - 1):
+        got_idx, got_dist = idx.query_bulk(pts, k, exclude=np.arange(n))
+        plain_idx, plain_dist = idx.query_bulk(pts, k)
+        for i in range(n):
+            oi, od = brute_knn(pts, pts[i], k, exclude_index=i)
+            assert np.array_equal(got_idx[i], oi), (seed, k, i)
+            assert np.array_equal(got_dist[i], od), (seed, k, i)
+            oi, od = brute_knn(pts, pts[i], k)
+            assert np.array_equal(plain_idx[i], oi), (seed, k, i)
+            assert np.array_equal(plain_dist[i], od), (seed, k, i)
+
+
+@pytest.mark.parametrize("near", [False, True])
+def test_tied_single_points_beside_duplicates(near):
+    # A shuffled lattice of single points with one corner repeated: short
+    # lists cut through shells of single points at equal distance, which
+    # must come in index order, whether or not the rows queried together
+    # reach the repeated corner.
+    rng = _rng(6, 111)
+    lattice = np.indices((12, 12)).reshape(2, -1).T.astype(np.float64)
+    pts = np.concatenate([lattice, np.repeat(lattice[:1], 5, axis=0)])
+    pts = pts[rng.permutation(len(pts))]
+    rows = np.arange(len(pts)) if near else np.flatnonzero(pts.sum(axis=1) >= 8)
+    idx = SpatialIndex(pts)
+    for k in (1, 2, 3, 6):
+        got_idx, got_dist = idx.query_bulk(pts[rows], k, exclude=rows)
+        plain_idx, plain_dist = idx.query_bulk(pts[rows] + 0.5, k)
+        for j, i in enumerate(rows):
+            oi, od = brute_knn(pts, pts[i], k, exclude_index=i)
+            assert np.array_equal(got_idx[j], oi), (k, i)
+            assert np.array_equal(got_dist[j], od), (k, i)
+            oi, od = brute_knn(pts, pts[i] + 0.5, k)
+            assert np.array_equal(plain_idx[j], oi), (k, i)
+            assert np.array_equal(plain_dist[j], od), (k, i)
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_queries_off_the_index_match_brute_force(seed):
+    # Query rows that are not index points, repeated among themselves, each
+    # excluding an arbitrary index (outside [0, n) excludes nothing).
+    rng = _rng(seed, 109)
+    pts = with_copies(rng, 200, 2, 5, 300)
+    n = len(pts)
+    off = np.round(rng.random((40, 2)) * 16) / 16 + 1 / 32
+    queries = np.concatenate([off, off[rng.integers(40, size=60)], pts[:20]])
+    exclude = rng.integers(-3, n + 3, size=len(queries))
+    idx = SpatialIndex(pts)
+    for k in (1, 9, 120, n - 1):
+        got_idx, got_dist = idx.query_bulk(queries, k, exclude=exclude)
+        plain_idx, plain_dist = idx.query_bulk(queries, k)
+        for i, q in enumerate(queries):
+            excluded = exclude[i] if 0 <= exclude[i] < n else None
+            oi, od = brute_knn(pts, q, k, exclude_index=excluded)
+            assert np.array_equal(got_idx[i], oi), (seed, k, i)
+            assert np.array_equal(got_dist[i], od), (seed, k, i)
+            oi, od = brute_knn(pts, q, k)
+            assert np.array_equal(plain_idx[i], oi), (seed, k, i)
+            assert np.array_equal(plain_dist[i], od), (seed, k, i)
+
+
+def test_subsample_coordinate_exclusion_matches_brute_force():
+    # As a bagging round queries it: every point against an index over a
+    # subsample, excluding the point's own subsample position, or nothing
+    # (-1) when the point is not in the subsample.
+    rng = _rng(2, 110)
+    points = with_copies(rng, 300, 2, 4, 500)
+    n = len(points)
+    sub = np.sort(rng.choice(n, 250, replace=False))
+    pos = np.full(n, -1, dtype=np.int64)
+    pos[sub] = np.arange(len(sub))
+    idx = SpatialIndex(points[sub])
+    for k in (1, 10, len(sub) - 1):
+        got_idx, got_dist = idx.query_bulk(points, k, exclude=pos)
+        for i in range(0, n, 3):
+            excluded = pos[i] if pos[i] >= 0 else None
+            oi, od = brute_knn(points[sub], points[i], k, exclude_index=excluded)
+            assert np.array_equal(got_idx[i], oi), (k, i)
+            assert np.array_equal(got_dist[i], od), (k, i)
+
+
+def test_signed_zero_locations_share_distances():
+    # +0.0 and -0.0 are keyed apart but lie at one place: their copies
+    # interleave by index exactly as brute force orders them.
+    pts = np.array([[0.0, 1.0], [-0.0, 1.0], [0.0, 1.0], [1.0, 1.0], [-0.0, 1.0]])
+    idx = SpatialIndex(pts)
+    for k in (1, 3, 4):
+        got_idx, got_dist = idx.query_bulk(pts, k, exclude=np.arange(5))
+        for i in range(5):
+            oi, od = brute_knn(pts, pts[i], k, exclude_index=i)
+            assert np.array_equal(got_idx[i], oi), (k, i)
+            assert np.array_equal(got_dist[i], od), (k, i)
+
+
+def test_hash_collision_only_splits_locations():
+    # Rows are grouped by a hash of their bytes.  Rows a and b share a hash,
+    # so the copies of a, interleaved with b, land in separate locations;
+    # that must not change any list.
+    mult = np.array([0x9E3779B97F4A7C15], dtype=np.uint64)
+    one = np.array([1.0]).view(np.uint64)
+    a = [1.0, 1.0]
+    b = [np.nextafter(1.0, 2.0), (one - mult).view(np.float64)[0]]
+    pts = np.array([a, b, a, b, a, [0.5, 0.5], b, a])
+    n = len(pts)
+    idx = SpatialIndex(pts)
+    for k in range(1, n):
+        got_idx, got_dist = idx.query_bulk(pts, k, exclude=np.arange(n))
+        for i in range(n):
+            oi, od = brute_knn(pts, pts[i], k, exclude_index=i)
+            assert np.array_equal(got_idx[i], oi), (k, i)
+            assert np.array_equal(got_dist[i], od), (k, i)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_non_finite_input_raises(bad):
+    pts = np.zeros((6, 2))
+    pts[3, 1] = bad
+    with pytest.raises(ValueError):
+        SpatialIndex(pts)
+    idx = SpatialIndex(np.zeros((6, 2)))
+    with pytest.raises(ValueError):
+        idx.query_bulk(pts, 2, exclude=np.arange(6))
+
+
 def record_windows(monkeypatch):
-    """Log (k, window width, thread) of every tree query, first windows and
-    retries."""
+    """Log (list length, window width in locations, thread) of every tree
+    query, first windows and retries."""
     query_window = SpatialIndex._query_window
     windows = []
 
-    def logged_query_window(self, queries, k, exclude, kq):
-        windows.append((k, kq, threading.get_ident()))
-        return query_window(self, queries, k, exclude, kq)
+    def logged_query_window(self, queries, kk, kq):
+        windows.append((kk, kq, threading.get_ident()))
+        return query_window(self, queries, kk, kq)
 
     monkeypatch.setattr(SpatialIndex, "_query_window", logged_query_window)
     return windows
 
 
+def distinct_rows(pts):
+    return len(np.unique(pts, axis=0))
+
+
 @pytest.mark.parametrize("quantized", [False, True])
 def test_wide_query_prefix_equals_narrow_query(quantized, monkeypatch):
     # The first k columns of a K-list are the k-list, whatever the thread count.
-    pts = 4.0 * _rng(9, 105).random((1200, 2))
+    pts = 4.0 * _rng(9, 105).random((1200, 3))
     if quantized:
         pts = np.round(pts / 0.25) * 0.25
     wide_k = 40
-    # large enough that the wide query runs on worker threads
-    assert len(pts) * (wide_k + 1 + _TIE_PAD) >= _PARALLEL_MIN_NEIGHBORS
+    # enough distinct rows that the wide query runs on worker threads
+    assert distinct_rows(pts) * (wide_k + 1 + _TIE_PAD) >= _PARALLEL_MIN_NEIGHBORS
     exclude = np.arange(len(pts))
     windows = record_windows(monkeypatch)
     idx = SpatialIndex(pts)
@@ -189,17 +334,24 @@ def test_wide_query_prefix_equals_narrow_query(quantized, monkeypatch):
     assert np.array_equal(tables[0][0], tables[1][0])
     assert np.array_equal(tables[0][1], tables[1][1])
     # widened retries run on the quantized grid and never on continuous data
-    retries = sum(kq > k + 1 + _TIE_PAD for k, kq, _ in windows)
+    retries = sum(kq > kk + _TIE_PAD for kk, kq, _ in windows)
     assert (retries > 0) == quantized
 
 
 def test_pool_blocks_are_deterministic_across_thread_counts(monkeypatch):
-    # Tied rows on a 0.25 grid widen twice; every pass spans several blocks
-    # above the parallel floor, so retries also run on pool threads.
-    n, k = 4000, 20
-    pts = np.round(4.0 * _rng(12, 107).random((n, 2)) / 0.25) * 0.25
-    assert n > 3 * _ROW_CHUNK  # at least three blocks in the first pass
-    assert n * (k + 1 + _TIE_PAD) >= _PARALLEL_MIN_NEIGHBORS
+    # A full 16^3 lattice on a 0.25 grid plus 1000 copies of its points: an
+    # interior row's 41st neighbor lies in the 24-point shell at distance
+    # sqrt(5)/4, which also holds the 49th location, so most rows widen once.
+    # Both passes span several blocks above the parallel floor, so retries
+    # also run on pool threads.
+    k = 40
+    lattice = 0.25 * np.indices((16, 16, 16)).reshape(3, -1).T.astype(np.float64)
+    rng = _rng(12, 107)
+    pts = np.concatenate([lattice, lattice[rng.integers(len(lattice), size=1000)]])
+    pts = pts[rng.permutation(len(pts))]
+    n = len(pts)
+    assert distinct_rows(pts) > 3 * _ROW_CHUNK  # at least three blocks in the first pass
+    assert distinct_rows(pts) * (k + 1 + _TIE_PAD) >= _PARALLEL_MIN_NEIGHBORS
     calls = record_windows(monkeypatch)
     idx = SpatialIndex(pts)
     exclude = np.arange(n)
@@ -210,7 +362,7 @@ def test_pool_blocks_are_deterministic_across_thread_counts(monkeypatch):
         calls.clear()
         tables[threads] = idx.query_bulk(pts, k, exclude=exclude)
         idents = {ident for _, _, ident in calls}
-        retry_idents = {ident for _, kq, ident in calls if kq > k + 1 + _TIE_PAD}
+        retry_idents = {ident for kk, kq, ident in calls if kq > kk + _TIE_PAD}
         if threads == "1":
             assert idents == {caller}
         else:
@@ -233,7 +385,8 @@ def test_pool_blocks_are_deterministic_across_thread_counts(monkeypatch):
 @pytest.mark.parametrize("values", [[0.5], [0.0, 1.0]])
 def test_window_widens_to_all_points(values, monkeypatch):
     # All-identical and two-valued sets: a k-th neighbor at the largest
-    # distance ties with points outside every window short of all n.
+    # distance ties with points outside every window short of all distinct
+    # locations, so every window holds them all.
     rng = _rng(4, 106)
     n = 300
     pts = np.repeat(rng.choice(np.array(values), size=(n, 1)), 3, axis=1)
@@ -242,9 +395,7 @@ def test_window_widens_to_all_points(values, monkeypatch):
     for k in (1, 7, 200, n - 1):
         got_idx, got_dist = idx.query_bulk(pts, k, exclude=np.arange(n))
         plain_idx, plain_dist = idx.query_bulk(pts, k)
-        # past the first value's copies, the k-th neighbor is the far value
-        if len(values) == 1 or k >= 200:
-            assert max(kq for _, kq, _ in windows) == n, k
+        assert {kq for _, kq, _ in windows} == {len(values)}, k
         windows.clear()
         for i in range(0, n, 13):
             oi, od = brute_knn(pts, pts[i], k, exclude_index=i)
@@ -256,9 +407,8 @@ def test_window_widens_to_all_points(values, monkeypatch):
 
 
 def test_identical_points_widen_in_bounded_memory():
-    # Every row of an all-identical set widens its window to all n points;
-    # the retries run in row blocks, so memory stays near the first window's
-    # instead of rows x n x d per chunk.
+    # An all-identical set is one location whose list every row shares, so
+    # memory stays near one window's instead of rows x n x d per chunk.
     n, k = 2500, 5
     pts = np.full((n, 2), 0.5)
     tracemalloc.start()
@@ -272,3 +422,21 @@ def test_identical_points_widen_in_bounded_memory():
     assert np.array_equal(nbr, expected)
     assert np.all(dist == 0.0)
     assert peak < 128 * 2**20, f"peak {peak / 2**20:.0f} MiB"
+
+
+def test_identical_points_cost_one_location():
+    # 20k copies of one point form a single location: the query is solved
+    # once and shared, not re-walked per copy (quadratic before: 3000
+    # copies took about 2 s at k=5).
+    n, k = 20000, 5
+    pts = np.full((n, 2), 0.5)
+    t0 = time.perf_counter()
+    nbr, dist = SpatialIndex(pts).query_bulk(pts, k, exclude=np.arange(n))
+    elapsed = time.perf_counter() - t0
+    # each row takes the lowest indices but its own
+    expected = np.tile(np.arange(k), (n, 1))
+    for i in range(k):
+        expected[i] = [j for j in range(k + 1) if j != i]
+    assert np.array_equal(nbr, expected)
+    assert np.all(dist == 0.0)
+    assert elapsed < 2.0, f"{elapsed:.2f} s"
