@@ -14,12 +14,18 @@ import numpy as np
 
 from .knn import SpatialIndex, k_distances
 
-# Below this size a precomputed neighbor-rank table makes thousands of
-# rounds cheap; above it, per-round trees respect the complexity budget.
+# Up to this size one exact (distance, index) order of every pair serves all
+# bagging rounds, and its leading columns are the fit's neighbor table; above
+# it, per-round scans respect the complexity budget.
 _RANK_TABLE_MAX_N = 2048
-# per-chunk element budget for the (n, rounds, s) rank block; keeping the
-# block cache-resident beats fewer, larger gathers
+# Element budget of _pairwise_order's (rows, n, d) difference blocks.  It
+# also sets the groups in which rounds are summed, _CHUNK_ELEMENTS // (n * s)
+# rounds (at most 4000): each group's total first, then the running total.
+# The grouping fixes the floating-point order of the average.
 _CHUNK_ELEMENTS = 5_000_000
+# (point, round) member counters advanced together, over whole summing
+# groups of rounds: few enough to stay cache-resident
+_ROUND_BLOCK = 1 << 18
 
 
 @dataclass(frozen=True)
@@ -52,41 +58,93 @@ def subsample(n, s, rng):
 
 
 def _pairwise_order(points):
-    """Per-point neighbor order, rank table, and sorted distances.
+    """Every point's neighbors in (distance, index) order, itself last.
 
-    rank[i, j] is the position of j in i's (distance, index)-sorted
-    neighbor list; rank[i, i] is parked past every real neighbor.
+    Returns (sorted_dist, order), both (n, n).  order[i] lists the points by
+    distance to point i, ties by index, with i itself parked at position
+    n-1 (distance inf); sorted_dist[i] holds those distances.  So
+    order[:, :k] and sorted_dist[:, :k] are the exact self-excluded k-NN
+    table, equal bit for bit to SpatialIndex.query_bulk(points, k,
+    exclude=arange(n)), which computes its distances the same way.
     """
-    n = points.shape[0]
-    diff = points[:, None, :] - points[None, :, :]
-    dist = np.sqrt(np.einsum("ijk,ijk->ij", diff, diff))
+    n, d = points.shape
+    dist = np.empty((n, n))
+    step = max(_CHUNK_ELEMENTS // (n * d), 1)
+    for lo in range(0, n, step):
+        diff = points[lo : lo + step, None, :] - points[None, :, :]
+        np.sqrt(np.einsum("ijk,ijk->ij", diff, diff), out=dist[lo : lo + step])
     np.fill_diagonal(dist, np.inf)
-    order = np.lexsort((np.broadcast_to(np.arange(n), (n, n)), dist))
+    # an unstable sort is several times faster than a stable one; only rows
+    # holding equal distances need the stable sort's index order
+    order = np.argsort(dist, axis=1)
     sorted_dist = np.take_along_axis(dist, order, axis=1)
-    rank = np.empty((n, n), dtype=np.int32)
-    np.put_along_axis(rank, order, np.arange(n, dtype=np.int32)[None, :], axis=1)
-    return sorted_dist, rank
+    tied = np.flatnonzero(np.any(sorted_dist[:, 1:] == sorted_dist[:, :-1], axis=1))
+    if tied.size:
+        order[tied] = np.argsort(dist[tied], axis=1, kind="stable")
+    return sorted_dist, order
 
 
-def _bagged_rank_table(points, plan):
-    """All rounds via the rank table; exact, vectorized over rounds."""
+def _rounds_order(points, sizes):
+    """_pairwise_order(points) when bagging at one of the subsample sizes
+    reads it (n <= _RANK_TABLE_MAX_N and s < n), else None."""
     n = points.shape[0]
-    sorted_dist, rank = _pairwise_order(points)
-    total = np.zeros(n)
-    rows = np.arange(n)[:, None]
+    if n <= _RANK_TABLE_MAX_N and any(s < n for s in sizes):
+        return _pairwise_order(points)
+    return None
+
+
+def _count_members(hits_at, positions, count, pos, k_d):
+    """Advance member counts over order positions, in place.
+
+    hits_at(j) flags, per counter, whether position j holds a subsample
+    member; pos counts the positions passed before the k_d-th member.
+    """
+    for j in positions:
+        count += hits_at(j)
+        pos += count < k_d
+        if j % 16 == 15 and count.min() >= k_d:
+            break  # every counter is done: later positions add nothing
+
+
+def _bagged_rank_table(pairwise, plan):
+    """All rounds from one pairwise order; exact, vectorized over rounds.
+
+    In a round, point i's k_d-distance is sorted_dist[i, p], where p is the
+    position of the k_d-th subsample member along order[i] (i itself sits
+    last, so it never counts).  Members are counted position by position for
+    every (point, round) pair at once, over a short window of about twice
+    the expected position; pairs still short of k_d members then continue
+    alone up to position k_d + n - s, by which k_d members have passed,
+    since only n - s points lie outside the subsample.
+    """
+    sorted_dist, order = pairwise
+    n = order.shape[0]
+    k_d = plan.k_d
+    full = min(n - 1, k_d + n - plan.s)
+    short = min(full, 2 * -(-k_d * n // plan.s) + 16)
     chunk = min(max(_CHUNK_ELEMENTS // (n * plan.s), 1), 4000)
-    for start in range(0, plan.b, chunk):
-        stop = min(start + chunk, plan.b)
-        subs = np.stack(
-            [subsample(n, plan.s, _round_rng(plan.seed, b)) for b in range(start, stop)]
-        )
-        # (n, rounds, s) ranks of each subsample member in each point's order;
-        # a point's own rank is n-1 (diagonal inf) so self-exclusion is free.
-        # np.take, unlike rank[:, subs], is C-contiguous: 2x faster to partition
-        r = np.take(rank, subs, axis=1)
-        r.partition(plan.k_d - 1, axis=2)
-        # cumsum adds rounds in order; sum's order would follow the layout
-        total += np.cumsum(sorted_dist[rows, r[:, :, plan.k_d - 1]], axis=1)[:, -1]
+    block = chunk * max(_ROUND_BLOCK // (n * chunk), 1)
+    rows = np.arange(n)[:, None]
+    total = np.zeros(n)
+    for start in range(0, plan.b, block):
+        stop = min(start + block, plan.b)
+        # int16 like the counters (n < 2**15), so counts add without casting
+        member = np.zeros((n, stop - start), dtype=np.int16)
+        for b in range(start, stop):
+            member[subsample(n, plan.s, _round_rng(plan.seed, b)), b - start] = 1
+        count = np.zeros_like(member)
+        pos = np.zeros_like(member)
+        _count_members(lambda j: member[order[:, j]], range(short), count, pos, k_d)
+        left, rounds = np.nonzero(count < k_d)
+        if left.size:
+            left_count, left_pos = count[left, rounds], pos[left, rounds]
+            _count_members(lambda j: member[order[left, j], rounds],
+                           range(short, full), left_count, left_pos, k_d)
+            pos[left, rounds] = left_pos
+        kth = sorted_dist[rows, pos]
+        for lo in range(0, stop - start, chunk):
+            # cumsum adds rounds in order; sum's order would follow the layout
+            total += np.cumsum(kth[:, lo : lo + chunk], axis=1)[:, -1]
     return total / plan.b
 
 
@@ -144,12 +202,14 @@ def _bagged_per_round(points, plan):
     return total / plan.b
 
 
-def bagged_k_distance(ds, plan, index=None):
+def bagged_k_distance(ds, plan, index=None, pairwise=None):
     """Average k_d-distance over B subsamples of size s (one value per point).
 
     A point inside a round's subsample is excluded from its own neighbor
     list there.  The degenerate plan (B=1, s=n) equals the plain
-    k-distance bit for bit.
+    k-distance bit for bit.  For n <= _RANK_TABLE_MAX_N the rounds read the
+    points' pairwise order: pass pairwise=_pairwise_order(points) to share
+    one with other stages, or it is built here.
     """
     points = ds.points if hasattr(ds, "points") else np.asarray(ds, dtype=np.float64)
     n = points.shape[0]
@@ -157,10 +217,14 @@ def bagged_k_distance(ds, plan, index=None):
     if plan.s == n:
         # Every round sees the full data, so the average is the plain
         # k-distance regardless of B.
+        if pairwise is not None:
+            return pairwise[0][:, plan.k_d - 1].copy()
         idx = index if index is not None else SpatialIndex(points)
         return k_distances(idx, plan.k_d)
     if n <= _RANK_TABLE_MAX_N:
-        return _bagged_rank_table(points, plan)
+        return _bagged_rank_table(
+            pairwise if pairwise is not None else _pairwise_order(points), plan
+        )
     return _bagged_per_round(points, plan)
 
 

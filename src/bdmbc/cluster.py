@@ -18,7 +18,7 @@ import numpy as np
 from scipy.sparse import coo_matrix
 from scipy.sparse.csgraph import connected_components as _cc
 
-from .bagging import BaggingPlan, bagged_k_distance
+from .bagging import BaggingPlan, _rounds_order, bagged_k_distance
 from .knn import SpatialIndex
 from .plls import PllsScores, mode_set, plls_from_neighbors
 # empirical_plls stays importable from this module, where the benchmark's
@@ -197,7 +197,7 @@ def connected_components(sub):
     return labels
 
 
-def finalize(ds, idx, provisional, core_mask, min_cluster_size):
+def finalize(ds, provisional, core_mask, min_cluster_size):
     """Dissolve undersized components and 1-NN-assign non-core points.
 
     Returns (labels, final_core_mask, num_clusters) with labels reordered
@@ -240,9 +240,12 @@ def bdmbc_fit(ds, config):
 
     One exact neighbor table of width max(k_l, k_g, and k_d when s == n)
     serves every stage: the plain k-distance (s == n) is its k_d-th column,
-    PLLS reads its first k_l columns and the graph its first k_g.  The
-    table's query is timed under the first stage that consumes it:
-    timings["bagged_kdist"] when s == n, else timings["plls"].
+    PLLS reads its first k_l columns and the graph its first k_g.  For
+    n <= _RANK_TABLE_MAX_N with s < n the table is the leading columns of
+    the pairwise order that the bagging rounds read; otherwise it is one
+    query.  Its cost is timed under the first stage that builds it:
+    timings["bagged_kdist"] for the pairwise order or when s == n, else
+    timings["plls"].
     """
     points = ds.points if hasattr(ds, "points") else np.asarray(ds, dtype=np.float64)
     n = points.shape[0]
@@ -274,7 +277,11 @@ def bdmbc_fit(ds, config):
         del dist
     else:
         plan = BaggingPlan(b=config.b, s=s, k_d=config.k_d, seed=config.seed)
-        bagged = bagged_k_distance(points, plan)
+        pairwise = _rounds_order(points, [s])
+        if pairwise is not None:
+            nbr = pairwise[1][:, :width]
+        bagged = bagged_k_distance(points, plan, pairwise=pairwise)
+        del pairwise  # frees the sorted distances; nbr keeps the order
     timings["bagged_kdist"] = time.perf_counter() - t0
 
     t0 = time.perf_counter()
@@ -294,7 +301,7 @@ def bdmbc_fit(ds, config):
 
     t0 = time.perf_counter()
     labels, final_core, num = finalize(
-        points, idx, provisional, sub.node_mask, config.effective_min_cluster_size()
+        points, provisional, sub.node_mask, config.effective_min_cluster_size()
     )
     timings["finalize"] = time.perf_counter() - t0
 

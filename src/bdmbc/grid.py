@@ -1,10 +1,12 @@
 """Cartesian hyperparameter grid evaluation with stage-level caching.
 
 One exact neighbor table, as wide as the largest k_l or k_g in the grid,
-serves every cell by slicing.  Bagged distances are reused across
-(k_l, k_g, lambda) combinations, scores across (k_g, lambda), and graphs
-across lambda, so dense grids over the cheap parameters cost little more
-than a single fit.
+serves every cell by slicing.  For n <= _RANK_TABLE_MAX_N with a cell at
+s < n, the table is the leading columns of the one pairwise
+(distance, index) order that every bagging pass reads; otherwise it is one
+query.  Bagged distances are reused across (k_l, k_g, lambda)
+combinations, scores across (k_g, lambda), and graphs across lambda, so
+dense grids over the cheap parameters cost little more than a single fit.
 """
 
 from __future__ import annotations
@@ -13,7 +15,7 @@ from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
-from .bagging import BaggingPlan, bagged_k_distance
+from .bagging import BaggingPlan, _rounds_order, bagged_k_distance
 # build_kg_graph and empirical_plls stay importable from this module, where
 # the benchmark's tracer wraps the stages; grid_search slices one table.
 from .cluster import (  # noqa: F401
@@ -32,10 +34,10 @@ GRID_COLUMNS = ("b", "rho", "kd", "kl", "kg", "lambda",
                 "ari", "nmi", "f1", "acc", "num_clusters")
 
 
-def _evaluate_threshold(points, idx, graph, scores, lam, min_cluster_size, true_labels):
+def _evaluate_threshold(points, graph, scores, lam, min_cluster_size, true_labels):
     sub = core_subgraph(graph, scores, lam)
     provisional = connected_components(sub)
-    labels, _, num = finalize(points, idx, provisional, sub.node_mask, min_cluster_size)
+    labels, _, num = finalize(points, provisional, sub.node_mask, min_cluster_size)
     report = metric_report(true_labels, labels)
     report["num_clusters"] = num
     return report
@@ -82,8 +84,14 @@ def grid_search(ds, grid, metric="ari", seed=0, min_cluster_size=None):
         for k in values:
             if not 1 <= k <= n - 1:
                 raise ValueError(f"{name}={k} out of range [1, {n - 1}]")
-    idx = SpatialIndex(points)
-    nbr = None
+    width = max(kls + kgs)
+    idx = nbr = None
+    sizes = [int(np.ceil(rho * n)) for rho in rhos]
+    pairwise = _rounds_order(points, [s for s in sizes if s > min(kds)])
+    if pairwise is not None:
+        nbr = pairwise[1][:, :width]
+    else:
+        idx = SpatialIndex(points)
     graphs = {}
     rows = []
     pool = ThreadPoolExecutor(max_workers=worker_count())
@@ -95,11 +103,12 @@ def grid_search(ds, grid, metric="ari", seed=0, min_cluster_size=None):
                     if kd >= s:
                         continue  # invalid cell, skip silently in grids
                     bagged = bagged_k_distance(
-                        points, BaggingPlan(b=b, s=s, k_d=kd, seed=seed), index=idx
+                        points, BaggingPlan(b=b, s=s, k_d=kd, seed=seed),
+                        index=idx, pairwise=pairwise,
                     )
                     if nbr is None:
                         # after the first bagging pass, so as not to add to its peak memory
-                        nbr, _ = idx.query_bulk(points, max(kls + kgs), exclude=np.arange(n))
+                        nbr, _ = idx.query_bulk(points, width, exclude=np.arange(n))
                     for kl in kls:
                         scores = plls_from_neighbors(bagged, nbr[:, :kl])
                         futures = []
@@ -110,8 +119,8 @@ def grid_search(ds, grid, metric="ari", seed=0, min_cluster_size=None):
                             for lam in lams:
                                 futures.append((
                                     (b, rho, kd, kl, kg, lam),
-                                    pool.submit(_evaluate_threshold, points, idx,
-                                                graphs[kg], scores, lam, mcs, ds.labels),
+                                    pool.submit(_evaluate_threshold, points, graphs[kg],
+                                                scores, lam, mcs, ds.labels),
                                 ))
                         for params, fut in futures:
                             report = fut.result()

@@ -176,7 +176,7 @@ def test_05_degenerate_equivalence():
         graph = build_kg_graph(idx, kg)
         sub = core_subgraph(graph, scores, lam)
         prov = connected_components(sub)
-        labels, core, num = finalize(pts, idx, prov, sub.node_mask,
+        labels, core, num = finalize(pts, prov, sub.node_mask,
                                      cfg.effective_min_cluster_size())
         same = (np.array_equal(bagged_res.labels, labels)
                 and np.array_equal(bagged_res.plls, scores.values)

@@ -196,9 +196,120 @@ def test_rank_table_and_per_round_paths_agree():
     rng = _rng(9, 13)
     pts = rng.random((120, 2))
     plan = BaggingPlan(b=20, s=40, k_d=5, seed=2)
-    via_table = bagging._bagged_rank_table(pts, plan)
+    via_table = bagging._bagged_rank_table(bagging._pairwise_order(pts), plan)
     via_rounds = bagging._bagged_per_round(pts, plan)
     assert np.allclose(via_table, via_rounds, rtol=1e-9, atol=1e-12)
+
+
+def partition_rank_table(points, plan):
+    """Oracle: every round's k_d-th member rank by partitioning a rank table.
+
+    rank[i, j] is j's position in i's (distance, index) order, with i
+    itself parked last; each round partitions its members' ranks per point.
+    Rounds are summed in the same groups as the library's average.
+    """
+    n = points.shape[0]
+    diff = points[:, None, :] - points[None, :, :]
+    dist = np.sqrt(np.einsum("ijk,ijk->ij", diff, diff))
+    np.fill_diagonal(dist, np.inf)
+    order = np.lexsort((np.broadcast_to(np.arange(n), (n, n)), dist))
+    sorted_dist = np.take_along_axis(dist, order, axis=1)
+    rank = np.empty((n, n), dtype=np.int32)
+    np.put_along_axis(rank, order, np.arange(n, dtype=np.int32)[None, :], axis=1)
+    total = np.zeros(n)
+    rows = np.arange(n)[:, None]
+    chunk = min(max(5_000_000 // (n * plan.s), 1), 4000)
+    for start in range(0, plan.b, chunk):
+        stop = min(start + chunk, plan.b)
+        subs = np.stack(
+            [subsample(n, plan.s, _round_rng(plan.seed, b)) for b in range(start, stop)]
+        )
+        r = np.take(rank, subs, axis=1)
+        r.partition(plan.k_d - 1, axis=2)
+        total += np.cumsum(sorted_dist[rows, r[:, :, plan.k_d - 1]], axis=1)[:, -1]
+    return total / plan.b
+
+
+def test_windowed_rounds_equal_partition_oracle(monkeypatch):
+    # bit for bit against the rank-table partition, on continuous and
+    # quantized points, with b spanning several summing groups, and with
+    # (point, round) pairs left short by the first window
+    from bdmbc import bagging
+
+    counted = []
+    count_members = bagging._count_members
+
+    def record(hits_at, positions, count, pos, k_d):
+        counted.append((positions.start, count.size))
+        count_members(hits_at, positions, count, pos, k_d)
+
+    monkeypatch.setattr(bagging, "_count_members", record)
+    rng = _rng(5, 21)
+    plans = []
+    for trial in range(120):
+        n = int(rng.integers(8, 160))
+        d = int(rng.integers(1, 4))
+        pts = rng.random((n, d))
+        if trial % 3 == 0:
+            pts = np.round(pts * 4) / 4
+        s = int(rng.integers(2, n))
+        kd = int(rng.integers(1, s))
+        plans.append((pts, BaggingPlan(b=int(rng.integers(1, 40)), s=s, k_d=kd, seed=trial)))
+    # several summing groups and several counter blocks
+    pts = rng.random((150, 2))
+    plans.append((pts, BaggingPlan(b=4000, s=140, k_d=3, seed=1)))
+    plans.append((np.round(pts * 4) / 4, BaggingPlan(b=1500, s=100, k_d=7, seed=2)))
+    # a small subsample: the k_d-th member often lies past the first window
+    plans.append((rng.random((600, 2)), BaggingPlan(b=30, s=30, k_d=1, seed=3)))
+    for pts, plan in plans:
+        counted.clear()
+        got = bagging._bagged_rank_table(bagging._pairwise_order(pts), plan)
+        assert np.array_equal(got, partition_rank_table(pts, plan)), plan
+    # the last plan re-counted some pairs past the first window
+    assert any(start > 0 and size > 0 for start, size in counted), counted
+    group = min(5_000_000 // (150 * 140), 4000)
+    assert plans[-3][1].b > 2 * group and plans[-3][1].b * 150 > 2 * bagging._ROUND_BLOCK
+
+
+def test_windowed_rounds_memory_bounded():
+    # a small subsample puts the k_d-th member hundreds of positions deep;
+    # the counters stay per (point, round), never per position
+    import tracemalloc
+
+    from bdmbc import bagging
+
+    pts = _rng(6, 22).random((2048, 2))
+    pairwise = bagging._pairwise_order(pts)
+    plan = BaggingPlan(b=200, s=20, k_d=5, seed=0)
+    tracemalloc.start()
+    try:
+        bagging._bagged_rank_table(pairwise, plan)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 64 * 2**20, peak
+
+
+@pytest.mark.parametrize("d", [1, 2, 5, 60])
+def test_pairwise_order_is_the_knn_table(d):
+    # at d=60 the distances are computed in two row blocks
+    from bdmbc import bagging
+
+    rng = _rng(d, 23)
+    sets = {
+        "continuous": rng.random((300, d)),
+        "quantized": np.round(rng.random((300, d)) * 4) / 4,
+        "identical": np.full((60, d), 0.5),
+    }
+    for name, pts in sets.items():
+        n = len(pts)
+        sorted_dist, order = bagging._pairwise_order(pts)
+        assert np.array_equal(order[:, -1], np.arange(n)), name
+        for k in (1, 7, n // 2, n - 1):
+            nbr, dist = SpatialIndex(pts).query_bulk(pts, k, exclude=np.arange(n))
+            assert np.array_equal(order[:, :k], nbr), (name, k)
+            assert np.array_equal(sorted_dist[:, :k].view(np.uint64),
+                                  dist.view(np.uint64)), (name, k)
 
 
 def test_tree_round_equals_brute_round_on_grid():

@@ -159,9 +159,8 @@ def test_components_match_bfs_oracle(seed):
 
 def test_finalize_all_core_unchanged():
     pts = np.array([[0.0], [1.0], [10.0], [11.0]])
-    idx = SpatialIndex(pts)
     provisional = np.array([0, 0, 1, 1])
-    labels, core, num = finalize(pts, idx, provisional, np.ones(4, dtype=bool), 2)
+    labels, core, num = finalize(pts, provisional, np.ones(4, dtype=bool), 2)
     assert num == 2
     assert np.array_equal(labels, [0, 0, 1, 1])
     assert np.all(core)
@@ -169,9 +168,8 @@ def test_finalize_all_core_unchanged():
 
 def test_finalize_tie_goes_to_lower_index_core():
     pts = np.array([[0.0], [2.0], [1.0]])  # point 2 equidistant from 0 and 1
-    idx = SpatialIndex(pts)
     provisional = np.array([0, 1, -1])
-    labels, _, num = finalize(pts, idx, provisional,
+    labels, _, num = finalize(pts, provisional,
                               np.array([True, True, False]), 1)
     assert num == 2
     assert labels[2] == labels[0]
@@ -180,9 +178,8 @@ def test_finalize_tie_goes_to_lower_index_core():
 def test_finalize_dissolves_small_component():
     # cores {0,1,2} clustered, singleton core 3 dissolved and reassigned
     pts = np.array([[0.0], [0.1], [0.2], [5.0]])
-    idx = SpatialIndex(pts)
     provisional = np.array([0, 0, 0, 1])
-    labels, core, num = finalize(pts, idx, provisional, np.ones(4, dtype=bool), 2)
+    labels, core, num = finalize(pts, provisional, np.ones(4, dtype=bool), 2)
     assert num == 1
     assert np.array_equal(labels, [0, 0, 0, 0])
     assert not core[3]
@@ -190,8 +187,7 @@ def test_finalize_dissolves_small_component():
 
 def test_finalize_no_core_single_cluster():
     pts = np.arange(4.0)[:, None]
-    idx = SpatialIndex(pts)
-    labels, core, num = finalize(pts, idx, np.full(4, -1), np.zeros(4, dtype=bool), 2)
+    labels, core, num = finalize(pts, np.full(4, -1), np.zeros(4, dtype=bool), 2)
     assert num == 1
     assert np.array_equal(labels, np.zeros(4, dtype=np.int64))
 
@@ -199,9 +195,8 @@ def test_finalize_no_core_single_cluster():
 def test_finalize_orders_labels_by_size():
     # big cluster second in index order must still get label 0
     pts = np.concatenate([np.zeros((2, 1)), np.full((5, 1), 10.0) + np.arange(5)[:, None] * 0.1])
-    idx = SpatialIndex(pts)
     provisional = np.array([0, 0, 1, 1, 1, 1, 1])
-    labels, _, num = finalize(pts, idx, provisional, np.ones(7, dtype=bool), 2)
+    labels, _, num = finalize(pts, provisional, np.ones(7, dtype=bool), 2)
     assert num == 2
     assert np.array_equal(labels, [1, 1, 0, 0, 0, 0, 0])
 
@@ -299,7 +294,7 @@ def test_fit_equals_public_stage_composition(quantized, bagged):
     plan = BaggingPlan(b=cfg.b, s=cfg.subsample_size(600), k_d=cfg.k_d, seed=cfg.seed)
     scores = empirical_plls(pts, idx, bagged_k_distance(pts, plan, index=idx), cfg.k_l)
     sub = core_subgraph(build_kg_graph(idx, cfg.k_g), scores, cfg.lam)
-    labels, core, num = finalize(pts, idx, connected_components(sub), sub.node_mask,
+    labels, core, num = finalize(pts, connected_components(sub), sub.node_mask,
                                  cfg.effective_min_cluster_size())
     modes = mode_set(scores)
     assert np.array_equal(res.plls, scores.values)

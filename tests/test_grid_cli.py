@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from bdmbc.cli import main
-from bdmbc.data import gen_multiblobs
+from bdmbc.data import Dataset, gen_multiblobs
 from bdmbc.grid import GRID_COLUMNS, grid_search, worker_count
 from bdmbc.metrics import metric_report
 from bdmbc.cluster import BdmbcConfig, bdmbc_fit
@@ -140,6 +140,33 @@ def test_grid_thread_invariance(blob_csv, monkeypatch):
     monkeypatch.setenv("BDMBC_THREADS", "8")
     rows_8 = grid_search(ds, grid, seed=0)
     assert rows_1 == rows_8
+
+
+def test_grid_table_from_pairwise_order_equals_query(monkeypatch):
+    # below _RANK_TABLE_MAX_N the table is sliced from the bagging rounds'
+    # pairwise order, else queried; a 0.25 grid makes ties, and rho=1 adds a
+    # cell at s == n
+    import bdmbc.grid
+
+    blobs = gen_multiblobs(300, 2, 3, seed=4)
+    ds = Dataset(np.round(blobs.points / 0.25) * 0.25, blobs.labels)
+    grid = {"b": [3], "rho": [0.4, 1.0], "kd": [4, 9], "kl": [25],
+            "kg": [4, 12], "lambda": [0.3, 0.6]}
+    built = []
+    rounds_order = bdmbc.grid._rounds_order
+
+    def record(points, sizes):
+        pairwise = rounds_order(points, sizes)
+        built.append(pairwise is not None)
+        return pairwise
+
+    monkeypatch.setattr(bdmbc.grid, "_rounds_order", record)
+    sliced = grid_search(ds, grid, seed=1)
+    monkeypatch.setattr(bdmbc.grid, "_rounds_order", lambda points, sizes: None)
+    queried = grid_search(ds, grid, seed=1)
+    assert built == [True]
+    assert len(sliced) == 16
+    assert sliced == queried
 
 
 def test_worker_count(monkeypatch):
