@@ -12,6 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .data import _points
 from .knn import SpatialIndex, k_distances
 
 # Up to this size one exact (distance, index) order of every pair serves all
@@ -202,7 +203,7 @@ def _bagged_per_round(points, plan):
     return total / plan.b
 
 
-def bagged_k_distance(ds, plan, index=None, pairwise=None):
+def bagged_k_distance(ds, plan, pairwise=None):
     """Average k_d-distance over B subsamples of size s (one value per point).
 
     A point inside a round's subsample is excluded from its own neighbor
@@ -211,7 +212,7 @@ def bagged_k_distance(ds, plan, index=None, pairwise=None):
     points' pairwise order: pass pairwise=_pairwise_order(points) to share
     one with other stages, or it is built here.
     """
-    points = ds.points if hasattr(ds, "points") else np.asarray(ds, dtype=np.float64)
+    points = _points(ds)
     n = points.shape[0]
     plan.validate(n)
     if plan.s == n:
@@ -219,8 +220,7 @@ def bagged_k_distance(ds, plan, index=None, pairwise=None):
         # k-distance regardless of B.
         if pairwise is not None:
             return pairwise[0][:, plan.k_d - 1].copy()
-        idx = index if index is not None else SpatialIndex(points)
-        return k_distances(idx, plan.k_d)
+        return k_distances(SpatialIndex(points), plan.k_d)
     if n <= _RANK_TABLE_MAX_N:
         return _bagged_rank_table(
             pairwise if pairwise is not None else _pairwise_order(points), plan
@@ -286,7 +286,7 @@ def infinite_bagged_k_distance(ds, s, k):
     n-1 and sample size min(s, n-1) (self excluded).  O(n^2); intended
     for moderate n and as the Monte-Carlo oracle.
     """
-    points = ds.points if hasattr(ds, "points") else np.asarray(ds, dtype=np.float64)
+    points = _points(ds)
     n = points.shape[0]
     s_eff = min(s, n - 1)
     if not 1 <= k <= s_eff:
@@ -303,7 +303,7 @@ def unit_ball_volume(d):
 def hypothetical_density(ds, s, k, bagged):
     """Density values implied by bagged k-distances through the weighted
     k-NN formula; inversely monotone in the bagged distance."""
-    points = ds.points if hasattr(ds, "points") else np.asarray(ds, dtype=np.float64)
+    points = _points(ds)
     n, d = points.shape
     bagged = np.asarray(bagged, dtype=np.float64)
     zeros = np.flatnonzero(bagged <= 0)

@@ -19,8 +19,9 @@ from scipy.sparse import coo_matrix
 from scipy.sparse.csgraph import connected_components as _cc
 
 from .bagging import BaggingPlan, _rounds_order, bagged_k_distance
+from .data import _points
 from .knn import SpatialIndex
-from .plls import PllsScores, mode_set, plls_from_neighbors
+from .plls import mode_set, plls_from_neighbors
 # empirical_plls stays importable from this module, where the benchmark's
 # tracer wraps the stages; bdmbc_fit slices one neighbor table instead.
 from .plls import empirical_plls  # noqa: F401
@@ -87,27 +88,6 @@ class BdmbcConfig:
 
 
 @dataclass(frozen=True)
-class NeighborGraph:
-    """k_G-NN graph as an (m, 2) int64 edge list.
-
-    build_kg_graph gives the union-symmetrized form: edges (i, j) with
-    i < j, lexicographically sorted and unique.  graph_from_neighbors keeps
-    the directed rows (i, nbr[i, j]); both have the same weak components.
-    """
-
-    n: int
-    edges: np.ndarray
-
-
-@dataclass(frozen=True)
-class CoreSubgraph:
-    """Node-induced subgraph on the core mask."""
-
-    node_mask: np.ndarray
-    edges: np.ndarray
-
-
-@dataclass(frozen=True)
 class ClusterResult:
     labels: np.ndarray
     core_mask: np.ndarray
@@ -130,62 +110,50 @@ class ClusterResult:
 
 
 def graph_from_neighbors(nbr):
-    """Directed k-NN graph with edges (i, nbr[i, j]), row by row.
+    """Directed k-NN graph: the (m, 2) int64 edges (i, nbr[i, j]), row by row.
 
     nbr may be the leading k_g columns of a wider exact neighbor table: under
     the (distance, index) rule they are exactly the k_g-lists.
     """
     n, k = nbr.shape
     src = np.repeat(np.arange(n, dtype=np.int64), k)
-    return NeighborGraph(n, np.column_stack([src, nbr.reshape(-1)]))
+    return np.column_stack([src, nbr.reshape(-1)])
 
 
 def build_kg_graph(idx, k_g):
-    """Union-symmetrized k_g-NN graph under the (distance, index) tie rule."""
+    """Union-symmetrized k_g-NN graph under the (distance, index) tie rule:
+    edges (i, j) with i < j, lexicographically sorted and unique.  It has
+    the weak components of graph_from_neighbors' directed edges."""
     n = idx.n
     if not 1 <= k_g <= n - 1:
         raise ValueError(f"k_g={k_g} out of range [1, {n - 1}]")
     nbr, _ = idx.query_bulk(idx.points, k_g, exclude=np.arange(n))
-    directed = graph_from_neighbors(nbr)
-    return NeighborGraph(n, np.unique(np.sort(directed.edges, axis=1), axis=0))
+    return np.unique(np.sort(graph_from_neighbors(nbr), axis=1), axis=0)
 
 
-def core_subgraph(graph, scores, lam):
-    """Subgraph induced on points with score >= lam."""
-    values = scores.values if isinstance(scores, PllsScores) else np.asarray(scores)
-    if values.shape[0] != graph.n:
-        raise ValueError("scores length must match graph size")
-    mask = values >= lam
-    if graph.edges.size:
-        keep = mask[graph.edges[:, 0]] & mask[graph.edges[:, 1]]
-        edges = graph.edges[keep]
-    else:
-        edges = graph.edges
-    return CoreSubgraph(mask, edges)
+def core_subgraph(edges, scores, lam):
+    """(mask, core_edges): the points scoring >= lam and the edges between them."""
+    mask = np.asarray(scores) >= lam
+    return mask, edges[mask[edges[:, 0]] & mask[edges[:, 1]]]
 
 
-def connected_components(sub):
-    """Provisional labels on core points; -1 elsewhere.
+def connected_components(mask, edges):
+    """Provisional labels on the masked (core) points; -1 elsewhere.
 
-    Edges are read as directed and components as weakly connected, so a
-    directed k-NN edge list and its symmetrized form give the same labels.
-    Component IDs are assigned in order of each component's smallest
-    member index.
+    edges join core points only.  They are read as directed and components
+    as weakly connected, so a directed k-NN edge list and its symmetrized
+    form give the same labels.  Component IDs are assigned in order of each
+    component's smallest member index.
     """
-    n = len(sub.node_mask)
-    core = np.flatnonzero(sub.node_mask)
+    n = len(mask)
+    core = np.flatnonzero(mask)
     labels = np.full(n, -1, dtype=np.int64)
     if core.size == 0:
         return labels
     remap = np.full(n, -1, dtype=np.int64)
     remap[core] = np.arange(core.size)
-    if sub.edges.size:
-        e = remap[sub.edges]
-        adj = coo_matrix(
-            (np.ones(len(e)), (e[:, 0], e[:, 1])), shape=(core.size, core.size)
-        )
-    else:
-        adj = coo_matrix((core.size, core.size))
+    e = remap[edges]
+    adj = coo_matrix((np.ones(len(e)), (e[:, 0], e[:, 1])), shape=(core.size, core.size))
     _, comp = _cc(adj, directed=True, connection="weak")
     # relabel so that component IDs follow smallest member (core is sorted
     # ascending, so first occurrence order is smallest-index order)
@@ -203,7 +171,7 @@ def finalize(ds, provisional, core_mask, min_cluster_size):
     Returns (labels, final_core_mask, num_clusters) with labels reordered
     by descending cluster size (ties by smallest member index).
     """
-    points = ds.points if hasattr(ds, "points") else np.asarray(ds, dtype=np.float64)
+    points = _points(ds)
     n = points.shape[0]
     labels = np.asarray(provisional).copy()
     core_mask = np.asarray(core_mask).copy()
@@ -235,19 +203,51 @@ def finalize(ds, provisional, core_mask, min_cluster_size):
     return rank[labels], core_mask, num
 
 
+def _bagged_and_table(points, plans, width, timings):
+    """Each plan's bagged k-distances, and the one exact neighbor table,
+    at least width columns wide, that every later stage slices.
+
+    For n <= _RANK_TABLE_MAX_N with some plan at s < n, the table is the
+    leading columns of the pairwise order that the bagging rounds read.
+    Otherwise it is one query after the rounds, widened to the k_d of every
+    plan with s == n, whose k_d-th column is that plan's plain k-distance.
+    timings gets "index" for an index build, "bagged_kdist" for the pairwise
+    order, the rounds and a widened query, and "plls" for a query that no
+    plan reads.
+    """
+    n = points.shape[0]
+    t0 = time.perf_counter()
+    pairwise = _rounds_order(points, [plan.s for plan in plans])
+    if pairwise is not None:
+        bagged = [bagged_k_distance(points, plan, pairwise=pairwise) for plan in plans]
+        timings["bagged_kdist"] = time.perf_counter() - t0
+        return bagged, pairwise[1][:, :width]  # frees the sorted distances
+    idx = SpatialIndex(points)
+    timings["index"] = time.perf_counter() - t0
+    t0 = time.perf_counter()
+    bagged = [bagged_k_distance(points, plan) if plan.s < n else None for plan in plans]
+    t1 = time.perf_counter()
+    # after the rounds, so as not to add to their peak memory
+    full = [plan.k_d for plan in plans if plan.s == n]
+    nbr, dist = idx.query_bulk(points, max([width] + full), exclude=np.arange(n))
+    bagged = [dist[:, plan.k_d - 1].copy() if plan.s == n else values
+              for plan, values in zip(plans, bagged)]
+    del dist
+    t2 = time.perf_counter()
+    if full:
+        timings["bagged_kdist"] = t2 - t0
+    else:
+        timings["bagged_kdist"], timings["plls"] = t1 - t0, t2 - t1
+    return bagged, nbr
+
+
 def bdmbc_fit(ds, config):
     """Run the full pipeline on a dataset; deterministic for a fixed seed.
 
-    One exact neighbor table of width max(k_l, k_g, and k_d when s == n)
-    serves every stage: the plain k-distance (s == n) is its k_d-th column,
-    PLLS reads its first k_l columns and the graph its first k_g.  For
-    n <= _RANK_TABLE_MAX_N with s < n the table is the leading columns of
-    the pairwise order that the bagging rounds read; otherwise it is one
-    query.  Its cost is timed under the first stage that builds it:
-    timings["bagged_kdist"] for the pairwise order or when s == n, else
-    timings["plls"].
+    One exact neighbor table (see _bagged_and_table) serves every stage:
+    PLLS reads its first k_l columns and the graph its first k_g.
     """
-    points = ds.points if hasattr(ds, "points") else np.asarray(ds, dtype=np.float64)
+    points = _points(ds)
     n = points.shape[0]
     if n == 1:
         return ClusterResult(
@@ -260,48 +260,26 @@ def bdmbc_fit(ds, config):
             timings={},
         )
     config.validate(n)
-    s = config.subsample_size(n)
-    width = max(config.k_l, config.k_g, config.k_d if s == n else 1)
+    plan = BaggingPlan(b=config.b, s=config.subsample_size(n), k_d=config.k_d, seed=config.seed)
     timings = {}
-    t0 = time.perf_counter()
-    idx = SpatialIndex(points)
-    timings["index"] = time.perf_counter() - t0
+    (bagged,), nbr = _bagged_and_table(points, [plan], max(config.k_l, config.k_g), timings)
 
     t0 = time.perf_counter()
-    nbr = None
-    if s == n:
-        # Every round sees the full data, so the average is the plain
-        # k-distance regardless of B.
-        nbr, dist = idx.query_bulk(points, width, exclude=np.arange(n))
-        bagged = dist[:, config.k_d - 1].copy()
-        del dist
-    else:
-        plan = BaggingPlan(b=config.b, s=s, k_d=config.k_d, seed=config.seed)
-        pairwise = _rounds_order(points, [s])
-        if pairwise is not None:
-            nbr = pairwise[1][:, :width]
-        bagged = bagged_k_distance(points, plan, pairwise=pairwise)
-        del pairwise  # frees the sorted distances; nbr keeps the order
-    timings["bagged_kdist"] = time.perf_counter() - t0
-
-    t0 = time.perf_counter()
-    if nbr is None:
-        nbr, _ = idx.query_bulk(points, width, exclude=np.arange(n))
     scores = plls_from_neighbors(bagged, nbr[:, : config.k_l])
-    timings["plls"] = time.perf_counter() - t0
+    timings["plls"] = timings.get("plls", 0.0) + time.perf_counter() - t0
 
     t0 = time.perf_counter()
-    graph = graph_from_neighbors(nbr[:, : config.k_g])
+    edges = graph_from_neighbors(nbr[:, : config.k_g])
     timings["graph"] = time.perf_counter() - t0
 
     t0 = time.perf_counter()
-    sub = core_subgraph(graph, scores, config.lam)
-    provisional = connected_components(sub)
+    mask, core_edges = core_subgraph(edges, scores, config.lam)
+    provisional = connected_components(mask, core_edges)
     timings["components"] = time.perf_counter() - t0
 
     t0 = time.perf_counter()
     labels, final_core, num = finalize(
-        points, provisional, sub.node_mask, config.effective_min_cluster_size()
+        points, provisional, mask, config.effective_min_cluster_size()
     )
     timings["finalize"] = time.perf_counter() - t0
 
@@ -312,7 +290,7 @@ def bdmbc_fit(ds, config):
         core_mask=final_core,
         modes=modes,
         num_clusters=num,
-        plls=scores.values,
+        plls=scores,
         config=config.to_dict(n),
         timings=timings,
     )

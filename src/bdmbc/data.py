@@ -25,6 +25,11 @@ def _rng(seed, stream=0):
     return np.random.Generator(np.random.Philox(key=[seed, stream]))
 
 
+def _points(ds):
+    """The float64 point matrix of a Dataset or of an array-like."""
+    return ds.points if hasattr(ds, "points") else np.asarray(ds, dtype=np.float64)
+
+
 @dataclass(frozen=True)
 class Dataset:
     """An n x d point matrix with optional integer ground-truth labels."""

@@ -1,12 +1,11 @@
 """Cartesian hyperparameter grid evaluation with stage-level caching.
 
-One exact neighbor table, as wide as the largest k_l or k_g in the grid,
-serves every cell by slicing.  For n <= _RANK_TABLE_MAX_N with a cell at
-s < n, the table is the leading columns of the one pairwise
-(distance, index) order that every bagging pass reads; otherwise it is one
-query.  Bagged distances are reused across (k_l, k_g, lambda)
-combinations, scores across (k_g, lambda), and graphs across lambda, so
-dense grids over the cheap parameters cost little more than a single fit.
+Every (b, rho, kd) cell is bagged in one pass that also yields one exact
+neighbor table, as wide as the largest k_l or k_g in the grid (see
+cluster._bagged_and_table); every cell slices it.  Bagged distances are
+reused across (k_l, k_g, lambda) combinations, scores across
+(k_g, lambda), and graphs across lambda, so dense grids over the cheap
+parameters cost little more than a single fit.
 """
 
 from __future__ import annotations
@@ -15,17 +14,19 @@ from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
-from .bagging import BaggingPlan, _rounds_order, bagged_k_distance
-# build_kg_graph and empirical_plls stay importable from this module, where
-# the benchmark's tracer wraps the stages; grid_search slices one table.
+from .bagging import BaggingPlan
+# bagged_k_distance, build_kg_graph and empirical_plls stay importable from
+# this module, where the benchmark's tracer wraps the stages.
 from .cluster import (  # noqa: F401
+    _bagged_and_table,
+    bagged_k_distance,
     build_kg_graph,
     connected_components,
     core_subgraph,
     finalize,
     graph_from_neighbors,
 )
-from .knn import SpatialIndex, worker_count
+from .knn import worker_count
 from .metrics import metric_report
 from .plls import empirical_plls, plls_from_neighbors  # noqa: F401
 
@@ -34,10 +35,10 @@ GRID_COLUMNS = ("b", "rho", "kd", "kl", "kg", "lambda",
                 "ari", "nmi", "f1", "acc", "num_clusters")
 
 
-def _evaluate_threshold(points, graph, scores, lam, min_cluster_size, true_labels):
-    sub = core_subgraph(graph, scores, lam)
-    provisional = connected_components(sub)
-    labels, _, num = finalize(points, provisional, sub.node_mask, min_cluster_size)
+def _evaluate_threshold(points, edges, scores, lam, min_cluster_size, true_labels):
+    mask, core_edges = core_subgraph(edges, scores, lam)
+    provisional = connected_components(mask, core_edges)
+    labels, _, num = finalize(points, provisional, mask, min_cluster_size)
     report = metric_report(true_labels, labels)
     report["num_clusters"] = num
     return report
@@ -84,49 +85,34 @@ def grid_search(ds, grid, metric="ari", seed=0, min_cluster_size=None):
         for k in values:
             if not 1 <= k <= n - 1:
                 raise ValueError(f"{name}={k} out of range [1, {n - 1}]")
-    width = max(kls + kgs)
-    idx = nbr = None
-    sizes = [int(np.ceil(rho * n)) for rho in rhos]
-    pairwise = _rounds_order(points, [s for s in sizes if s > min(kds)])
-    if pairwise is not None:
-        nbr = pairwise[1][:, :width]
-    else:
-        idx = SpatialIndex(points)
+    sizes = {rho: int(np.ceil(rho * n)) for rho in rhos}
+    # cells with kd >= s are invalid and skipped silently
+    cells = [(b, rho, kd) for b in bs for rho in rhos for kd in kds if kd < sizes[rho]]
+    plans = [BaggingPlan(b=b, s=sizes[rho], k_d=kd, seed=seed) for b, rho, kd in cells]
+    bagged, nbr = _bagged_and_table(points, plans, max(kls + kgs), {})
     graphs = {}
     rows = []
     pool = ThreadPoolExecutor(max_workers=worker_count())
     try:
-        for b in bs:
-            for rho in rhos:
-                s = int(np.ceil(rho * n))
-                for kd in kds:
-                    if kd >= s:
-                        continue  # invalid cell, skip silently in grids
-                    bagged = bagged_k_distance(
-                        points, BaggingPlan(b=b, s=s, k_d=kd, seed=seed),
-                        index=idx, pairwise=pairwise,
-                    )
-                    if nbr is None:
-                        # after the first bagging pass, so as not to add to its peak memory
-                        nbr, _ = idx.query_bulk(points, width, exclude=np.arange(n))
-                    for kl in kls:
-                        scores = plls_from_neighbors(bagged, nbr[:, :kl])
-                        futures = []
-                        for kg in kgs:
-                            if kg not in graphs:
-                                graphs[kg] = graph_from_neighbors(nbr[:, :kg])
-                            mcs = min_cluster_size if min_cluster_size is not None else 2 * kg
-                            for lam in lams:
-                                futures.append((
-                                    (b, rho, kd, kl, kg, lam),
-                                    pool.submit(_evaluate_threshold, points, graphs[kg],
-                                                scores, lam, mcs, ds.labels),
-                                ))
-                        for params, fut in futures:
-                            report = fut.result()
-                            row = dict(zip(("b", "rho", "kd", "kl", "kg", "lambda"), params))
-                            row.update(report)
-                            rows.append(row)
+        for cell, values in zip(cells, bagged):
+            for kl in kls:
+                scores = plls_from_neighbors(values, nbr[:, :kl])
+                futures = []
+                for kg in kgs:
+                    if kg not in graphs:
+                        graphs[kg] = graph_from_neighbors(nbr[:, :kg])
+                    mcs = min_cluster_size if min_cluster_size is not None else 2 * kg
+                    for lam in lams:
+                        futures.append((
+                            (*cell, kl, kg, lam),
+                            pool.submit(_evaluate_threshold, points, graphs[kg],
+                                        scores, lam, mcs, ds.labels),
+                        ))
+                for params, fut in futures:
+                    report = fut.result()
+                    row = dict(zip(("b", "rho", "kd", "kl", "kg", "lambda"), params))
+                    row.update(report)
+                    rows.append(row)
     finally:
         pool.shutdown()
     rows.sort(key=lambda r: (-r[metric], r["b"], r["rho"], r["kd"],

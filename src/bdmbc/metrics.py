@@ -9,18 +9,8 @@ base-invariant so the choice is cosmetic.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 from scipy.optimize import linear_sum_assignment
-
-
-@dataclass(frozen=True)
-class ContingencyTable:
-    counts: np.ndarray  # (r, c) non-negative integers
-    row_sums: np.ndarray
-    col_sums: np.ndarray
-    n: int
 
 
 def _as_labels(x, name):
@@ -31,6 +21,7 @@ def _as_labels(x, name):
 
 
 def contingency(true_labels, pred_labels):
+    """(classes, clusters) int64 counts of points per (true, predicted) pair."""
     t = _as_labels(true_labels, "true_labels")
     p = _as_labels(pred_labels, "pred_labels")
     if len(t) != len(p):
@@ -40,7 +31,7 @@ def contingency(true_labels, pred_labels):
     r, c = ti.max() + 1, pi.max() + 1
     counts = np.zeros((r, c), dtype=np.int64)
     np.add.at(counts, (ti, pi), 1)
-    return ContingencyTable(counts, counts.sum(axis=1), counts.sum(axis=0), len(t))
+    return counts
 
 
 def _comb2(x):
@@ -50,13 +41,14 @@ def _comb2(x):
 
 def ari(true_labels, pred_labels):
     """Pair-counting adjusted Rand index; 1.0 for two single-cluster partitions."""
-    table = contingency(true_labels, pred_labels)
-    if table.n < 2:
+    counts = contingency(true_labels, pred_labels)
+    n = counts.sum()
+    if n < 2:
         raise ValueError("ARI needs at least 2 points")
-    sum_cells = _comb2(table.counts).sum()
-    sum_rows = _comb2(table.row_sums).sum()
-    sum_cols = _comb2(table.col_sums).sum()
-    expected = sum_rows * sum_cols / _comb2(table.n)
+    sum_cells = _comb2(counts).sum()
+    sum_rows = _comb2(counts.sum(axis=1)).sum()
+    sum_cols = _comb2(counts.sum(axis=0)).sum()
+    expected = sum_rows * sum_cols / _comb2(n)
     max_index = 0.5 * (sum_rows + sum_cols)
     if max_index == expected:  # both partitions trivial
         return 1.0
@@ -65,19 +57,20 @@ def ari(true_labels, pred_labels):
 
 def nmi(true_labels, pred_labels):
     """Mutual information normalized by the geometric mean of the entropies."""
-    table = contingency(true_labels, pred_labels)
-    r, c = table.counts.shape
+    counts = contingency(true_labels, pred_labels)
+    r, c = counts.shape
     if r == 1 and c == 1:
         return 1.0
     if r == 1 or c == 1:
         return 0.0
-    n = table.n
-    nz = table.counts > 0
-    pij = table.counts[nz] / n
-    outer = np.outer(table.row_sums, table.col_sums)[nz] / (n * n)
+    n = counts.sum()
+    row_sums, col_sums = counts.sum(axis=1), counts.sum(axis=0)
+    nz = counts > 0
+    pij = counts[nz] / n
+    outer = np.outer(row_sums, col_sums)[nz] / (n * n)
     mi = float(np.sum(pij * np.log(pij / outer)))
-    hy = float(-np.sum((table.row_sums / n) * np.log(table.row_sums / n)))
-    hp = float(-np.sum((table.col_sums / n) * np.log(table.col_sums / n)))
+    hy = float(-np.sum((row_sums / n) * np.log(row_sums / n)))
+    hp = float(-np.sum((col_sums / n) * np.log(col_sums / n)))
     value = mi / np.sqrt(hy * hp)
     return float(min(max(value, 0.0), 1.0))
 
@@ -140,20 +133,19 @@ def kuhn_munkres(cost):
 
 def matched_f1_accuracy(true_labels, pred_labels):
     """(macro-F1, accuracy) after optimally matching clusters to classes."""
-    table = contingency(true_labels, pred_labels)
-    counts = table.counts
+    counts = contingency(true_labels, pred_labels)
     r, c = counts.shape
     assign = kuhn_munkres(-counts.astype(np.float64))
     matched = {cls: clu for cls, clu in assign.items()}
     correct = sum(counts[cls, clu] for cls, clu in matched.items())
-    acc = correct / table.n
+    acc = correct / counts.sum()
     f1s = []
     for cls in range(r):
         if cls in matched:
             clu = matched[cls]
             tp = counts[cls, clu]
-            fp = table.col_sums[clu] - tp
-            fn = table.row_sums[cls] - tp
+            fp = counts[:, clu].sum() - tp
+            fn = counts[cls].sum() - tp
             denom = 2 * tp + fp + fn
             f1s.append(2 * tp / denom if denom > 0 else 0.0)
         else:

@@ -9,29 +9,17 @@ distances leaves scores unchanged.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
+from .data import _points
 from .knn import k_distances
 
 _CHUNK = 8192
 
 
-@dataclass(frozen=True)
-class PllsScores:
-    """Per-point scores in [0, 1] plus the neighborhood size that made them."""
-
-    values: np.ndarray
-    k_l: int
-
-    def __len__(self):
-        return len(self.values)
-
-
 def empirical_plls(ds, idx, bagged, k_l):
     """Score each point against its k_l nearest others (self excluded)."""
-    points = ds.points if hasattr(ds, "points") else np.asarray(ds, dtype=np.float64)
+    points = _points(ds)
     n = points.shape[0]
     if not 1 <= k_l <= n - 1:
         raise ValueError(f"k_l={k_l} out of range [1, {n - 1}]")
@@ -53,12 +41,12 @@ def plls_from_neighbors(bagged, nbr):
     for lo in range(0, n, _CHUNK):
         hi = min(lo + _CHUNK, n)
         counts[lo:hi] = (bagged[nbr[lo:hi]] >= bagged[lo:hi, None]).sum(axis=1)
-    return PllsScores(counts / k_l, k_l)
+    return counts / k_l
 
 
 def mode_set(scores):
     """Indices scoring exactly 1; never empty (the argmin distance scores 1)."""
-    return np.flatnonzero(scores.values == 1.0)
+    return np.flatnonzero(np.asarray(scores) == 1.0)
 
 
 def dmbc_plls(ds, idx, k_d, k_l):

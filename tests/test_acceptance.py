@@ -174,12 +174,12 @@ def test_05_degenerate_equivalence():
                                    core_subgraph, finalize)
 
         graph = build_kg_graph(idx, kg)
-        sub = core_subgraph(graph, scores, lam)
-        prov = connected_components(sub)
-        labels, core, num = finalize(pts, prov, sub.node_mask,
+        mask, edges = core_subgraph(graph, scores, lam)
+        prov = connected_components(mask, edges)
+        labels, core, num = finalize(pts, prov, mask,
                                      cfg.effective_min_cluster_size())
         same = (np.array_equal(bagged_res.labels, labels)
-                and np.array_equal(bagged_res.plls, scores.values)
+                and np.array_equal(bagged_res.plls, scores)
                 and np.array_equal(bagged_res.core_mask, core)
                 and bagged_res.num_clusters == num)
         if not same:
@@ -200,7 +200,7 @@ def test_06_plls_brute_force():
         kd = int(rng.integers(1, s))
         kl = int(rng.integers(1, n))
         bagged = bagged_k_distance(pts, BaggingPlan(b=3, s=s, k_d=kd, seed=seed))
-        got = empirical_plls(pts, idx, bagged, kl).values
+        got = empirical_plls(pts, idx, bagged, kl)
         # oracle: literal double loop with (distance, index) neighbor order
         oracle = np.empty(n)
         for i in range(n):

@@ -20,7 +20,7 @@ from bdmbc.cluster import (
 )
 from bdmbc.data import Dataset, _rng, gen_multiblobs
 from bdmbc.knn import SpatialIndex
-from bdmbc.plls import PllsScores, dmbc_plls, empirical_plls, mode_set
+from bdmbc.plls import dmbc_plls, empirical_plls, mode_set
 
 
 def brute_edges(points, k_g):
@@ -64,12 +64,12 @@ def bfs_components(n, edges, mask):
 
 def test_two_points_single_edge():
     g = build_kg_graph(SpatialIndex(np.array([[0.0], [1.0]])), 1)
-    assert np.array_equal(g.edges, [[0, 1]])
+    assert np.array_equal(g, [[0, 1]])
 
 
 def test_two_pairs_two_edges():
     g = build_kg_graph(SpatialIndex(np.array([[0.0], [1.0], [10.0], [11.0]])), 1)
-    assert np.array_equal(g.edges, [[0, 1], [2, 3]])
+    assert np.array_equal(g, [[0, 1], [2, 3]])
 
 
 @pytest.mark.parametrize("seed", range(4))
@@ -79,12 +79,12 @@ def test_graph_matches_brute_force(seed):
     pts = np.round(rng.random((n, 2)) * 8) / 8
     k_g = int(rng.integers(1, min(n, 12)))
     g = build_kg_graph(SpatialIndex(pts), k_g)
-    assert [tuple(e) for e in g.edges] == brute_edges(pts, k_g)
+    assert [tuple(e) for e in g] == brute_edges(pts, k_g)
 
 
 def test_graph_no_self_loops_and_range():
     g = build_kg_graph(SpatialIndex(_rng(1, 32).random((50, 2))), 5)
-    assert np.all(g.edges[:, 0] < g.edges[:, 1])
+    assert np.all(g[:, 0] < g[:, 1])
     with pytest.raises(ValueError):
         build_kg_graph(SpatialIndex(np.zeros((3, 1))), 3)
 
@@ -97,17 +97,17 @@ def test_core_subgraph_thresholds():
     idx = SpatialIndex(pts)
     g = build_kg_graph(idx, 4)
     scores = dmbc_plls(pts, idx, 3, 10)
-    full = core_subgraph(g, scores, 0.0)
-    assert np.all(full.node_mask)
-    assert np.array_equal(full.edges, g.edges)
-    top = core_subgraph(g, scores, 1.0)
-    assert np.array_equal(np.flatnonzero(top.node_mask),
-                          np.flatnonzero(scores.values == 1.0))
+    full_mask, full_edges = core_subgraph(g, scores, 0.0)
+    assert np.all(full_mask)
+    assert np.array_equal(full_edges, g)
+    top_mask, _ = core_subgraph(g, scores, 1.0)
+    assert np.array_equal(np.flatnonzero(top_mask),
+                          np.flatnonzero(scores == 1.0))
     # just above a plateau value excludes points scoring exactly that value
     v = 0.5
-    eps = 1.0 / (2 * scores.k_l)
-    above = core_subgraph(g, scores, v + eps)
-    assert not np.any(scores.values[above.node_mask] <= v)
+    eps = 1.0 / (2 * 10)  # the scores' k_l is 10
+    above_mask, _ = core_subgraph(g, scores, v + eps)
+    assert not np.any(scores[above_mask] <= v)
 
 
 def test_threshold_monotonicity():
@@ -117,7 +117,7 @@ def test_threshold_monotonicity():
     scores = dmbc_plls(pts, idx, 4, 15)
     prev = np.ones(60, dtype=bool)
     for lam in np.linspace(0.0, 1.0, 11):
-        mask = core_subgraph(g, scores, lam).node_mask
+        mask, _ = core_subgraph(g, scores, lam)
         assert np.all(mask <= prev)
         prev = mask
 
@@ -126,18 +126,14 @@ def test_threshold_monotonicity():
 
 
 def test_path_graph_one_component():
-    from bdmbc.cluster import CoreSubgraph
-
-    sub = CoreSubgraph(np.ones(5, dtype=bool),
-                       np.array([[0, 1], [1, 2], [2, 3], [3, 4]]))
-    assert np.array_equal(connected_components(sub), np.zeros(5, dtype=np.int64))
+    labels = connected_components(np.ones(5, dtype=bool),
+                                  np.array([[0, 1], [1, 2], [2, 3], [3, 4]]))
+    assert np.array_equal(labels, np.zeros(5, dtype=np.int64))
 
 
 def test_empty_edges_singletons():
-    from bdmbc.cluster import CoreSubgraph
-
-    sub = CoreSubgraph(np.ones(3, dtype=bool), np.empty((0, 2), dtype=np.int64))
-    assert np.array_equal(connected_components(sub), [0, 1, 2])
+    labels = connected_components(np.ones(3, dtype=bool), np.empty((0, 2), dtype=np.int64))
+    assert np.array_equal(labels, [0, 1, 2])
 
 
 @pytest.mark.parametrize("seed", range(4))
@@ -148,9 +144,9 @@ def test_components_match_bfs_oracle(seed):
     idx = SpatialIndex(pts)
     g = build_kg_graph(idx, 3)
     scores = dmbc_plls(pts, idx, 2, min(10, n - 1))
-    sub = core_subgraph(g, scores, 0.6)
-    got = connected_components(sub)
-    oracle = bfs_components(n, [tuple(e) for e in sub.edges], sub.node_mask)
+    mask, edges = core_subgraph(g, scores, 0.6)
+    got = connected_components(mask, edges)
+    oracle = bfs_components(n, [tuple(e) for e in edges], mask)
     assert np.array_equal(got, oracle)
 
 
@@ -234,8 +230,34 @@ def test_fit_result_contract():
     assert np.all(res.plls[res.modes] == 1.0)
     # config echo includes the resolved subsample size
     assert res.config["s"] == 200
-    assert set(res.timings) == {"index", "bagged_kdist", "plls", "graph",
+    # n <= 2048 with s < n: the table comes from the pairwise order, no index
+    assert set(res.timings) == {"bagged_kdist", "plls", "graph",
                                 "components", "finalize"}
+
+
+def test_fit_builds_an_index_only_when_it_queries_one(monkeypatch):
+    # n <= 2048 with s < n slices the table from the pairwise order, so no
+    # index over all n points is built and timings has no "index"; at
+    # s == n, or above 2048 points, the fit queries one and times it
+    built = []
+    init = SpatialIndex.__init__
+
+    def record(self, points):
+        built.append(len(points))
+        init(self, points)
+
+    monkeypatch.setattr(SpatialIndex, "__init__", record)
+    small = gen_multiblobs(400, 2, 3, seed=5)
+    res = bdmbc_fit(small, BdmbcConfig(k_d=10, k_l=40, b=5, rho=0.5, k_g=10, seed=0))
+    assert 400 not in built  # finalize's index holds core points only
+    assert "index" not in res.timings
+    for ds, cfg in ((small, BdmbcConfig(k_d=10, k_l=40, b=1, rho=1.0, k_g=10)),
+                    (gen_multiblobs(2100, 2, 3, seed=5),
+                     BdmbcConfig(k_d=5, k_l=20, b=2, rho=0.1, k_g=10))):
+        built.clear()
+        res = bdmbc_fit(ds, cfg)
+        assert built[0] == ds.n
+        assert "index" in res.timings
 
 
 def test_fit_deterministic():
@@ -274,7 +296,7 @@ def test_lambda_one_clusters_mode_set_only():
     idx = SpatialIndex(pts)
     scores = dmbc_plls(pts, idx, 5, 20)
     assert np.array_equal(np.flatnonzero(res.core_mask),
-                          np.flatnonzero(scores.values == 1.0))
+                          np.flatnonzero(scores == 1.0))
 
 
 @pytest.mark.parametrize("quantized", [False, True])
@@ -292,12 +314,12 @@ def test_fit_equals_public_stage_composition(quantized, bagged):
 
     idx = SpatialIndex(pts)
     plan = BaggingPlan(b=cfg.b, s=cfg.subsample_size(600), k_d=cfg.k_d, seed=cfg.seed)
-    scores = empirical_plls(pts, idx, bagged_k_distance(pts, plan, index=idx), cfg.k_l)
-    sub = core_subgraph(build_kg_graph(idx, cfg.k_g), scores, cfg.lam)
-    labels, core, num = finalize(pts, connected_components(sub), sub.node_mask,
+    scores = empirical_plls(pts, idx, bagged_k_distance(pts, plan), cfg.k_l)
+    mask, edges = core_subgraph(build_kg_graph(idx, cfg.k_g), scores, cfg.lam)
+    labels, core, num = finalize(pts, connected_components(mask, edges), mask,
                                  cfg.effective_min_cluster_size())
     modes = mode_set(scores)
-    assert np.array_equal(res.plls, scores.values)
+    assert np.array_equal(res.plls, scores)
     assert np.array_equal(res.labels, labels)
     assert np.array_equal(res.core_mask, core)
     assert res.num_clusters == num

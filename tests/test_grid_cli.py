@@ -89,7 +89,7 @@ def test_grid_rejects_rho_and_b_before_any_cell(tmp_path, blob_csv, monkeypatch)
     def no_bagging(*args, **kwargs):
         raise AssertionError("a cell ran before the grid was validated")
 
-    monkeypatch.setattr("bdmbc.grid.bagged_k_distance", no_bagging)
+    monkeypatch.setattr("bdmbc.cluster.bagged_k_distance", no_bagging)
     base = {"b": [1], "rho": [0.5], "kd": [5], "kl": [20], "kg": [5]}
     # rho <= 0 used to skip every cell, and rho > 1 to raise only after
     # the earlier rho values' cells had run
@@ -113,7 +113,7 @@ def test_grid_without_valid_cell_is_rejected(tmp_path, blob_csv, monkeypatch):
     def no_bagging(*args, **kwargs):
         raise AssertionError("a cell ran before the grid was validated")
 
-    monkeypatch.setattr("bdmbc.grid.bagged_k_distance", no_bagging)
+    monkeypatch.setattr("bdmbc.cluster.bagged_k_distance", no_bagging)
     base = {"b": [1], "rho": [0.5], "kd": [5], "kl": [20], "kg": [5]}
     # 300 points: s = ceil(0.001 * 300) = 1 <= kd, and k_l = 400 > n - 1;
     # both used to skip every cell and return no rows
@@ -144,27 +144,38 @@ def test_grid_thread_invariance(blob_csv, monkeypatch):
 
 def test_grid_table_from_pairwise_order_equals_query(monkeypatch):
     # below _RANK_TABLE_MAX_N the table is sliced from the bagging rounds'
-    # pairwise order, else queried; a 0.25 grid makes ties, and rho=1 adds a
-    # cell at s == n
-    import bdmbc.grid
+    # pairwise order, else queried; a 0.25 grid makes ties, and rho=1 adds
+    # cells at s == n, whose k-distances are then columns of the one query
+    import bdmbc.cluster
+    from bdmbc.knn import SpatialIndex
 
     blobs = gen_multiblobs(300, 2, 3, seed=4)
     ds = Dataset(np.round(blobs.points / 0.25) * 0.25, blobs.labels)
     grid = {"b": [3], "rho": [0.4, 1.0], "kd": [4, 9], "kl": [25],
             "kg": [4, 12], "lambda": [0.3, 0.6]}
     built = []
-    rounds_order = bdmbc.grid._rounds_order
+    rounds_order = bdmbc.cluster._rounds_order
 
     def record(points, sizes):
         pairwise = rounds_order(points, sizes)
         built.append(pairwise is not None)
         return pairwise
 
-    monkeypatch.setattr(bdmbc.grid, "_rounds_order", record)
+    monkeypatch.setattr(bdmbc.cluster, "_rounds_order", record)
     sliced = grid_search(ds, grid, seed=1)
-    monkeypatch.setattr(bdmbc.grid, "_rounds_order", lambda points, sizes: None)
+    full_queries = []
+    query_bulk = SpatialIndex.query_bulk
+
+    def record_query(self, queries, k, exclude=None):
+        if len(queries) == ds.n:
+            full_queries.append(k)
+        return query_bulk(self, queries, k, exclude=exclude)
+
+    monkeypatch.setattr(SpatialIndex, "query_bulk", record_query)
+    monkeypatch.setattr(bdmbc.cluster, "_rounds_order", lambda points, sizes: None)
     queried = grid_search(ds, grid, seed=1)
     assert built == [True]
+    assert full_queries == [25]  # kl=25 is wider than either kd
     assert len(sliced) == 16
     assert sliced == queried
 

@@ -26,7 +26,7 @@ def test_unique_minimum_scores_one():
     idx = SpatialIndex(pts)
     bagged = np.array([1.0, 2.0, 3.0, 4.0])
     scores = empirical_plls(pts, idx, bagged, 3)
-    assert scores.values[0] == 1.0
+    assert scores[0] == 1.0
 
 
 def test_strict_maximum_scores_zero():
@@ -34,7 +34,7 @@ def test_strict_maximum_scores_zero():
     idx = SpatialIndex(pts)
     bagged = np.array([1.0, 1.0, 1.0, 9.0])
     scores = empirical_plls(pts, idx, bagged, 3)
-    assert scores.values[3] == 0.0
+    assert scores[3] == 0.0
 
 
 def test_tie_semantics_on_even_grid():
@@ -44,7 +44,7 @@ def test_tie_semantics_on_even_grid():
     idx = SpatialIndex(pts)
     bagged = k_distances(idx, 1)  # all ones except nothing: spacing is 1
     scores = empirical_plls(pts, idx, bagged, 5)
-    assert np.all(scores.values == 1.0)
+    assert np.all(scores == 1.0)
 
 
 def test_score_granularity():
@@ -54,8 +54,8 @@ def test_score_granularity():
     bagged = k_distances(idx, 5)
     for k_l in (1, 7, 23):
         scores = empirical_plls(pts, idx, bagged, k_l)
-        assert np.all((scores.values >= 0) & (scores.values <= 1))
-        scaled = scores.values * k_l
+        assert np.all((scores >= 0) & (scores <= 1))
+        scaled = scores * k_l
         assert np.allclose(scaled, np.round(scaled), atol=1e-12)
 
 
@@ -71,7 +71,7 @@ def test_matches_double_loop_oracle(seed):
     )
     k_l = int(rng.integers(1, n))
     got = empirical_plls(pts, idx, bagged, k_l)
-    assert np.array_equal(got.values, brute_plls(pts, bagged, k_l))
+    assert np.array_equal(got, brute_plls(pts, bagged, k_l))
 
 
 def test_monotone_transform_invariance():
@@ -81,7 +81,7 @@ def test_monotone_transform_invariance():
     bagged = k_distances(idx, 6)
     base = empirical_plls(pts, idx, bagged, 15)
     warped = empirical_plls(pts, idx, np.exp(3.0 * bagged), 15)
-    assert np.array_equal(base.values, warped.values)
+    assert np.array_equal(base, warped)
 
 
 def test_rigid_motion_invariance():
@@ -93,7 +93,7 @@ def test_rigid_motion_invariance():
     plan = BaggingPlan(b=5, s=40, k_d=4, seed=0)
     s_a = empirical_plls(pts, SpatialIndex(pts), bagged_k_distance(pts, plan), 12)
     s_b = empirical_plls(moved, SpatialIndex(moved), bagged_k_distance(moved, plan), 12)
-    assert np.array_equal(s_a.values, s_b.values)
+    assert np.array_equal(s_a, s_b)
 
 
 def test_mode_set_nonempty_and_exact():
@@ -103,9 +103,9 @@ def test_mode_set_nonempty_and_exact():
     scores = empirical_plls(pts, idx, k_distances(idx, 8), 20)
     modes = mode_set(scores)
     assert len(modes) >= 1
-    assert np.all(scores.values[modes] == 1.0)
+    assert np.all(scores[modes] == 1.0)
     non_modes = np.setdiff1d(np.arange(100), modes)
-    assert np.all(scores.values[non_modes] < 1.0)
+    assert np.all(scores[non_modes] < 1.0)
 
 
 def test_all_equal_bagged_all_modes():
@@ -123,7 +123,7 @@ def test_strictly_monotone_distances_single_mode():
     idx = SpatialIndex(pts)
     bagged = np.arange(1.0, 16.0)
     scores = empirical_plls(pts, idx, bagged, 5)
-    assert np.array_equal(scores.values, brute_plls(pts, bagged, 5))
+    assert np.array_equal(scores, brute_plls(pts, bagged, 5))
     assert np.array_equal(mode_set(scores), [0])
 
 
@@ -133,7 +133,7 @@ def test_hand_example_three_collinear():
     scores = dmbc_plls(pts, idx, k_d=1, k_l=2)
     # k-distances: (1, 1, 9); scores by hand: p0 = (1>=1) + (9>=1) over 2 = 1,
     # p1 = 1, p2 = (1>=9)+(1>=9) over 2 = 0
-    assert np.array_equal(scores.values, [1.0, 1.0, 0.0])
+    assert np.array_equal(scores, [1.0, 1.0, 0.0])
 
 
 def test_dmbc_equals_degenerate_bagging():
@@ -144,7 +144,7 @@ def test_dmbc_equals_degenerate_bagging():
     via_bagging = empirical_plls(
         pts, idx, bagged_k_distance(pts, BaggingPlan(b=1, s=120, k_d=9, seed=0)), 30
     )
-    assert np.array_equal(direct.values, via_bagging.values)
+    assert np.array_equal(direct, via_bagging)
 
 
 def test_dmbc_single_gaussian_mode_location():
