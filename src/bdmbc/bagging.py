@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import _points
+from .data import _points, _rng
 from .knn import SpatialIndex, k_distances
 
 # Up to this size one exact (distance, index) order of every pair serves all
@@ -44,11 +44,9 @@ class BaggingPlan:
         if not 1 <= self.s <= n:
             raise ValueError(f"s={self.s} out of range [1, {n}]")
         if not 1 <= self.k_d <= self.s - 1:
-            raise ValueError(f"k_d={self.k_d} must satisfy 1 <= k_d < s={self.s}")
-
-
-def _round_rng(seed, round_index):
-    return np.random.Generator(np.random.Philox(key=[seed, round_index]))
+            raise ValueError(
+                f"k_d must be smaller than subsample size (k_d={self.k_d}, s={self.s})"
+            )
 
 
 def subsample(n, s, rng):
@@ -132,7 +130,7 @@ def _bagged_rank_table(pairwise, plan):
         # int16 like the counters (n < 2**15), so counts add without casting
         member = np.zeros((n, stop - start), dtype=np.int16)
         for b in range(start, stop):
-            member[subsample(n, plan.s, _round_rng(plan.seed, b)), b - start] = 1
+            member[subsample(n, plan.s, _rng(plan.seed, b)), b - start] = 1
         count = np.zeros_like(member)
         pos = np.zeros_like(member)
         _count_members(lambda j: member[order[:, j]], range(short), count, pos, k_d)
@@ -198,7 +196,7 @@ def _bagged_per_round(points, plan):
     one_round = _round_brute if plan.s <= _BRUTE_SUBSAMPLE_MAX_S else _round_tree
     total = np.zeros(n)
     for b in range(plan.b):
-        sub = subsample(n, plan.s, _round_rng(plan.seed, b))
+        sub = subsample(n, plan.s, _rng(plan.seed, b))
         total += one_round(points, sub, plan.k_d)
     return total / plan.b
 
@@ -208,9 +206,9 @@ def bagged_k_distance(ds, plan, pairwise=None):
 
     A point inside a round's subsample is excluded from its own neighbor
     list there.  The degenerate plan (B=1, s=n) equals the plain
-    k-distance bit for bit.  For n <= _RANK_TABLE_MAX_N the rounds read the
-    points' pairwise order: pass pairwise=_pairwise_order(points) to share
-    one with other stages, or it is built here.
+    k-distance bit for bit.  Where _rounds_order builds one, the rounds read
+    the points' pairwise order: pass pairwise=_pairwise_order(points) to
+    share one with other stages, or it is built here.
     """
     points = _points(ds)
     n = points.shape[0]
@@ -221,10 +219,10 @@ def bagged_k_distance(ds, plan, pairwise=None):
         if pairwise is not None:
             return pairwise[0][:, plan.k_d - 1].copy()
         return k_distances(SpatialIndex(points), plan.k_d)
-    if n <= _RANK_TABLE_MAX_N:
-        return _bagged_rank_table(
-            pairwise if pairwise is not None else _pairwise_order(points), plan
-        )
+    if pairwise is None:
+        pairwise = _rounds_order(points, [plan.s])
+    if pairwise is not None:
+        return _bagged_rank_table(pairwise, plan)
     return _bagged_per_round(points, plan)
 
 

@@ -48,21 +48,20 @@ class BdmbcConfig:
     def subsample_size(self, n):
         if self.s is not None:
             return self.s
+        # before the product, which would not fit an int for rho = inf or nan
+        if not 0.0 < self.rho <= 1.0:
+            raise ValueError(f"rho={self.rho} must lie in (0, 1]")
         return int(np.ceil(self.rho * n))
 
     def effective_min_cluster_size(self):
         return self.min_cluster_size if self.min_cluster_size is not None else 2 * self.k_g
 
+    def plan(self, n):
+        """The bagging rounds this config runs on n points."""
+        return BaggingPlan(b=self.b, s=self.subsample_size(n), k_d=self.k_d, seed=self.seed)
+
     def validate(self, n):
-        s = self.subsample_size(n)
-        if self.b < 1:
-            raise ValueError("b must be >= 1")
-        if self.s is None and not 0.0 < self.rho <= 1.0:
-            raise ValueError(f"rho={self.rho} must lie in (0, 1]")
-        if not 1 <= s <= n:
-            raise ValueError(f"subsample size s={s} out of range [1, {n}]")
-        if not 1 <= self.k_d < s:
-            raise ValueError(f"k_d must be smaller than subsample size (k_d={self.k_d}, s={s})")
+        self.plan(n).validate(n)
         if not 1 <= self.k_l <= n - 1:
             raise ValueError(f"k_l={self.k_l} out of range [1, {n - 1}]")
         if not 1 <= self.k_g <= n - 1:
@@ -241,6 +240,21 @@ def _bagged_and_table(points, plans, width, timings):
     return bagged, nbr
 
 
+def _threshold(points, edges, scores, config, timings):
+    """finalize's (labels, final_core_mask, num_clusters) at config.lam: the
+    threshold stage of a fit and of every grid cell.  timings gets
+    "components" (core subgraph and its components) and "finalize"."""
+    t0 = time.perf_counter()
+    mask, core_edges = core_subgraph(edges, scores, config.lam)
+    provisional = connected_components(mask, core_edges)
+    timings["components"] = time.perf_counter() - t0
+
+    t0 = time.perf_counter()
+    out = finalize(points, provisional, mask, config.effective_min_cluster_size())
+    timings["finalize"] = time.perf_counter() - t0
+    return out
+
+
 def bdmbc_fit(ds, config):
     """Run the full pipeline on a dataset; deterministic for a fixed seed.
 
@@ -260,9 +274,10 @@ def bdmbc_fit(ds, config):
             timings={},
         )
     config.validate(n)
-    plan = BaggingPlan(b=config.b, s=config.subsample_size(n), k_d=config.k_d, seed=config.seed)
     timings = {}
-    (bagged,), nbr = _bagged_and_table(points, [plan], max(config.k_l, config.k_g), timings)
+    (bagged,), nbr = _bagged_and_table(
+        points, [config.plan(n)], max(config.k_l, config.k_g), timings
+    )
 
     t0 = time.perf_counter()
     scores = plls_from_neighbors(bagged, nbr[:, : config.k_l])
@@ -272,17 +287,7 @@ def bdmbc_fit(ds, config):
     edges = graph_from_neighbors(nbr[:, : config.k_g])
     timings["graph"] = time.perf_counter() - t0
 
-    t0 = time.perf_counter()
-    mask, core_edges = core_subgraph(edges, scores, config.lam)
-    provisional = connected_components(mask, core_edges)
-    timings["components"] = time.perf_counter() - t0
-
-    t0 = time.perf_counter()
-    labels, final_core, num = finalize(
-        points, provisional, mask, config.effective_min_cluster_size()
-    )
-    timings["finalize"] = time.perf_counter() - t0
-
+    labels, final_core, num = _threshold(points, edges, scores, config, timings)
     modes = mode_set(scores)
     modes = modes[final_core[modes]]  # modes in dissolved components drop out
     return ClusterResult(

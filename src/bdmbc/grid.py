@@ -1,24 +1,24 @@
 """Cartesian hyperparameter grid evaluation with stage-level caching.
 
-Every (b, rho, kd) cell is bagged in one pass that also yields one exact
-neighbor table, as wide as the largest k_l or k_g in the grid (see
-cluster._bagged_and_table); every cell slices it.  Bagged distances are
-reused across (k_l, k_g, lambda) combinations, scores across
-(k_g, lambda), and graphs across lambda, so dense grids over the cheap
-parameters cost little more than a single fit.
+Every grid cell is one BdmbcConfig, run as a fit runs it.  Cells with equal
+(b, s, kd) share one bagging pass, which also yields one exact neighbor
+table as wide as the largest k_l or k_g (see cluster._bagged_and_table).
+Scores are reused across (k_g, lambda) and graphs across every cell, so
+dense grids over the cheap parameters cost little more than a single fit.
 """
 
 from __future__ import annotations
 
+import itertools
 from concurrent.futures import ThreadPoolExecutor
 
-import numpy as np
-
-from .bagging import BaggingPlan
-# bagged_k_distance, build_kg_graph and empirical_plls stay importable from
-# this module, where the benchmark's tracer wraps the stages.
+# bagged_k_distance, build_kg_graph, empirical_plls, core_subgraph,
+# connected_components and finalize stay importable from this module, where
+# the benchmark's tracer wraps the stages.
 from .cluster import (  # noqa: F401
+    BdmbcConfig,
     _bagged_and_table,
+    _threshold,
     bagged_k_distance,
     build_kg_graph,
     connected_components,
@@ -35,10 +35,8 @@ GRID_COLUMNS = ("b", "rho", "kd", "kl", "kg", "lambda",
                 "ari", "nmi", "f1", "acc", "num_clusters")
 
 
-def _evaluate_threshold(points, edges, scores, lam, min_cluster_size, true_labels):
-    mask, core_edges = core_subgraph(edges, scores, lam)
-    provisional = connected_components(mask, core_edges)
-    labels, _, num = finalize(points, provisional, mask, min_cluster_size)
+def _cell_report(points, edges, scores, config, true_labels):
+    labels, _, num = _threshold(points, edges, scores, config, {})
     report = metric_report(true_labels, labels)
     report["num_clusters"] = num
     return report
@@ -49,8 +47,10 @@ def grid_search(ds, grid, metric="ari", seed=0, min_cluster_size=None):
 
     grid: dict with value lists under any of 'b', 'rho', 'kd', 'kl',
     'kg', 'lambda' (missing keys use single defaults).  Requires ground
-    truth labels on the dataset.  Deterministic ordering: descending
-    metric, ties by lexicographic parameter tuple.
+    truth labels on the dataset.  Cells with kd >= s or k_l > n - 1 are
+    skipped; any other value a single fit rejects raises before any cell
+    runs.  Deterministic ordering: descending metric, ties by lexicographic
+    parameter tuple.
     """
     if metric not in METRICS:
         raise ValueError(f"metric must be one of {METRICS}, got {metric!r}")
@@ -70,49 +70,34 @@ def grid_search(ds, grid, metric="ari", seed=0, min_cluster_size=None):
                          ("kl", kls), ("kg", kgs), ("lambda", lams)):
         if not values:
             raise ValueError(f"empty value list for grid parameter {name!r}")
-    if min(bs) < 1:
-        raise ValueError("b must be >= 1")
-    for rho in rhos:
-        if not 0.0 < rho <= 1.0:
-            raise ValueError(f"rho={rho} must lie in (0, 1]")
+    configs = [BdmbcConfig(k_d=kd, k_l=kl, b=b, rho=rho, k_g=kg, lam=lam,
+                           min_cluster_size=min_cluster_size, seed=seed)
+               for b, rho, kd, kl, kg, lam in itertools.product(bs, rhos, kds, kls, kgs, lams)]
     # cells with kd >= s or k_l > n - 1 are skipped, but not all of them
-    if min(kds) >= int(np.ceil(max(rhos) * n)):
+    configs = [c for c in configs if c.k_d < c.subsample_size(n)]
+    if not configs:
         raise ValueError(f"no grid cell has kd < s = ceil(rho * n) for n={n}")
-    kls = [kl for kl in kls if kl <= n - 1]
-    if not kls:
+    configs = [c for c in configs if c.k_l <= n - 1]
+    if not configs:
         raise ValueError(f"no grid cell has k_l <= n - 1 = {n - 1}")
-    for name, values in (("k_l", kls), ("k_g", kgs)):
-        for k in values:
-            if not 1 <= k <= n - 1:
-                raise ValueError(f"{name}={k} out of range [1, {n - 1}]")
-    sizes = {rho: int(np.ceil(rho * n)) for rho in rhos}
-    # cells with kd >= s are invalid and skipped silently
-    cells = [(b, rho, kd) for b in bs for rho in rhos for kd in kds if kd < sizes[rho]]
-    plans = [BaggingPlan(b=b, s=sizes[rho], k_d=kd, seed=seed) for b, rho, kd in cells]
-    bagged, nbr = _bagged_and_table(points, plans, max(kls + kgs), {})
-    graphs = {}
+    by_scores = {}  # the cells that share one score vector
+    for c in configs:
+        c.validate(n)
+        by_scores.setdefault((c.plan(n), c.k_l), []).append(c)
+    plans = list(dict.fromkeys(plan for plan, _ in by_scores))
+    width = max(max(c.k_l, c.k_g) for c in configs)
+    bagged, nbr = _bagged_and_table(points, plans, width, {})
+    bagged = dict(zip(plans, bagged))
+    graphs = {kg: graph_from_neighbors(nbr[:, :kg]) for kg in kgs}
     rows = []
     pool = ThreadPoolExecutor(max_workers=worker_count())
     try:
-        for cell, values in zip(cells, bagged):
-            for kl in kls:
-                scores = plls_from_neighbors(values, nbr[:, :kl])
-                futures = []
-                for kg in kgs:
-                    if kg not in graphs:
-                        graphs[kg] = graph_from_neighbors(nbr[:, :kg])
-                    mcs = min_cluster_size if min_cluster_size is not None else 2 * kg
-                    for lam in lams:
-                        futures.append((
-                            (*cell, kl, kg, lam),
-                            pool.submit(_evaluate_threshold, points, graphs[kg],
-                                        scores, lam, mcs, ds.labels),
-                        ))
-                for params, fut in futures:
-                    report = fut.result()
-                    row = dict(zip(("b", "rho", "kd", "kl", "kg", "lambda"), params))
-                    row.update(report)
-                    rows.append(row)
+        for (plan, kl), cells in by_scores.items():
+            scores = plls_from_neighbors(bagged[plan], nbr[:, :kl])
+            futures = [(c, pool.submit(_cell_report, points, graphs[c.k_g], scores, c, ds.labels))
+                       for c in cells]
+            rows += [{"b": c.b, "rho": c.rho, "kd": c.k_d, "kl": c.k_l, "kg": c.k_g,
+                      "lambda": c.lam, **fut.result()} for c, fut in futures]
     finally:
         pool.shutdown()
     rows.sort(key=lambda r: (-r[metric], r["b"], r["rho"], r["kd"],

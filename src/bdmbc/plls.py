@@ -12,7 +12,6 @@ from __future__ import annotations
 import numpy as np
 
 from .data import _points
-from .knn import k_distances
 
 _CHUNK = 8192
 
@@ -48,10 +47,3 @@ def mode_set(scores):
     """Indices scoring exactly 1; never empty (the argmin distance scores 1)."""
     return np.flatnonzero(np.asarray(scores) == 1.0)
 
-
-def dmbc_plls(ds, idx, k_d, k_l):
-    """Non-bagged special case: scores from plain k_d-distances."""
-    n = idx.n
-    if not 1 <= k_d <= n - 1:
-        raise ValueError(f"k_d={k_d} out of range [1, {n - 1}]")
-    return empirical_plls(ds, idx, k_distances(idx, k_d), k_l)

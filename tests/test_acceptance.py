@@ -37,7 +37,7 @@ from bdmbc import (
 )
 from bdmbc.data import _rng
 from bdmbc.knn import SpatialIndex, k_distances
-from bdmbc.plls import dmbc_plls
+from oracles import dmbc_plls
 
 
 def report(name, ok, detail):
@@ -169,7 +169,7 @@ def test_05_degenerate_equivalence():
         bagged_res = bdmbc_fit(pts, cfg)
         # dedicated DMBC path: plain k-distance scores through the same tail
         idx = SpatialIndex(pts)
-        scores = dmbc_plls(pts, idx, kd, kl)
+        scores = dmbc_plls(pts, kd, kl)
         from bdmbc.cluster import (build_kg_graph, connected_components,
                                    core_subgraph, finalize)
 

@@ -19,7 +19,6 @@ from bdmbc.bagging import (
     infinite_bagged_k_distance,
     subsample,
     unit_ball_volume,
-    _round_rng,
 )
 from bdmbc.data import Dataset, _rng
 from bdmbc.knn import SpatialIndex, k_distances
@@ -41,7 +40,7 @@ def brute_bagged(points, plan):
     n = len(points)
     total = np.zeros(n)
     for b in range(plan.b):
-        sub = subsample(n, plan.s, _round_rng(plan.seed, b))
+        sub = subsample(n, plan.s, _rng(plan.seed, b))
         for i in range(n):
             dists = sorted(
                 np.linalg.norm(points[j] - points[i]) for j in sub if j != i
@@ -59,8 +58,8 @@ def test_subsample_full():
 
 
 def test_subsample_distinct_and_deterministic():
-    got_a = subsample(50, 20, _round_rng(3, 7))
-    got_b = subsample(50, 20, _round_rng(3, 7))
+    got_a = subsample(50, 20, _rng(3, 7))
+    got_b = subsample(50, 20, _rng(3, 7))
     assert np.array_equal(got_a, got_b)
     assert len(set(got_a.tolist())) == 20
     with pytest.raises(ValueError):
@@ -70,7 +69,7 @@ def test_subsample_distinct_and_deterministic():
 def test_subsample_uniform_frequency():
     counts = np.zeros(2)
     for t in range(100_000):
-        counts[subsample(2, 1, _round_rng(0, t))[0]] += 1
+        counts[subsample(2, 1, _rng(0, t))[0]] += 1
     assert abs(counts[0] / 100_000 - 0.5) < 0.01
 
 
@@ -222,7 +221,7 @@ def partition_rank_table(points, plan):
     for start in range(0, plan.b, chunk):
         stop = min(start + chunk, plan.b)
         subs = np.stack(
-            [subsample(n, plan.s, _round_rng(plan.seed, b)) for b in range(start, stop)]
+            [subsample(n, plan.s, _rng(plan.seed, b)) for b in range(start, stop)]
         )
         r = np.take(rank, subs, axis=1)
         r.partition(plan.k_d - 1, axis=2)
@@ -323,7 +322,7 @@ def test_tree_round_equals_brute_round_on_grid():
     assert len(pts) > bagging._RANK_TABLE_MAX_N
     total = np.zeros(len(pts))
     for b in range(plan.b):
-        sub = subsample(len(pts), plan.s, _round_rng(plan.seed, b))
+        sub = subsample(len(pts), plan.s, _rng(plan.seed, b))
         for k_d in (1, plan.k_d, 40):
             brute = bagging._round_brute(pts, sub, k_d)
             assert np.array_equal(bagging._round_tree(pts, sub, k_d), brute), (b, k_d)

@@ -20,7 +20,8 @@ from bdmbc.cluster import (
 )
 from bdmbc.data import Dataset, _rng, gen_multiblobs
 from bdmbc.knn import SpatialIndex
-from bdmbc.plls import dmbc_plls, empirical_plls, mode_set
+from bdmbc.plls import empirical_plls, mode_set
+from oracles import dmbc_plls
 
 
 def brute_edges(points, k_g):
@@ -96,7 +97,7 @@ def test_core_subgraph_thresholds():
     pts = _rng(2, 33).random((40, 2))
     idx = SpatialIndex(pts)
     g = build_kg_graph(idx, 4)
-    scores = dmbc_plls(pts, idx, 3, 10)
+    scores = dmbc_plls(pts, 3, 10)
     full_mask, full_edges = core_subgraph(g, scores, 0.0)
     assert np.all(full_mask)
     assert np.array_equal(full_edges, g)
@@ -114,7 +115,7 @@ def test_threshold_monotonicity():
     pts = _rng(3, 34).random((60, 2))
     idx = SpatialIndex(pts)
     g = build_kg_graph(idx, 5)
-    scores = dmbc_plls(pts, idx, 4, 15)
+    scores = dmbc_plls(pts, 4, 15)
     prev = np.ones(60, dtype=bool)
     for lam in np.linspace(0.0, 1.0, 11):
         mask, _ = core_subgraph(g, scores, lam)
@@ -143,7 +144,7 @@ def test_components_match_bfs_oracle(seed):
     pts = rng.random((n, 2))
     idx = SpatialIndex(pts)
     g = build_kg_graph(idx, 3)
-    scores = dmbc_plls(pts, idx, 2, min(10, n - 1))
+    scores = dmbc_plls(pts, 2, min(10, n - 1))
     mask, edges = core_subgraph(g, scores, 0.6)
     got = connected_components(mask, edges)
     oracle = bfs_components(n, [tuple(e) for e in edges], mask)
@@ -293,8 +294,7 @@ def test_lambda_one_clusters_mode_set_only():
     cfg = BdmbcConfig(k_d=5, k_l=20, b=1, rho=1.0, k_g=10, lam=1.0,
                       min_cluster_size=1, seed=0)
     res = bdmbc_fit(pts, cfg)
-    idx = SpatialIndex(pts)
-    scores = dmbc_plls(pts, idx, 5, 20)
+    scores = dmbc_plls(pts, 5, 20)
     assert np.array_equal(np.flatnonzero(res.core_mask),
                           np.flatnonzero(scores == 1.0))
 

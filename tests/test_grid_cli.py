@@ -98,6 +98,12 @@ def test_grid_rejects_rho_and_b_before_any_cell(tmp_path, blob_csv, monkeypatch)
             grid_search(ds, {**base, "rho": [0.5, rho]})
     with pytest.raises(ValueError, match="b must be >= 1"):
         grid_search(ds, {**base, "b": [2, 0]})
+    # a grid rejects every value a single fit rejects
+    for lam in (1.5, -0.1, float("nan")):
+        with pytest.raises(ValueError, match=r"must lie in \[0, 1\]"):
+            grid_search(ds, {**base, "lambda": [0.5, lam]})
+    with pytest.raises(ValueError, match="min_cluster_size must be >= 1"):
+        grid_search(ds, base, min_cluster_size=0)
     gridspec = tmp_path / "grid.json"
     gridspec.write_text(json.dumps({**base, "rho": [0.0]}))
     out = tmp_path / "grid.csv"
@@ -129,6 +135,26 @@ def test_grid_without_valid_cell_is_rejected(tmp_path, blob_csv, monkeypatch):
                      "--grid", str(gridspec), "--out", str(out)])
         assert code == 2
         assert not out.exists()
+
+
+def test_grid_cells_with_equal_plans_share_one_bagging_pass(blob_csv, monkeypatch):
+    import bdmbc.cluster
+
+    _, ds = blob_csv
+    plans = []
+    bagged_k_distance = bdmbc.cluster.bagged_k_distance
+
+    def record(points, plan, **kwargs):
+        plans.append(plan)
+        return bagged_k_distance(points, plan, **kwargs)
+
+    monkeypatch.setattr(bdmbc.cluster, "bagged_k_distance", record)
+    # on 300 points rho 0.5 and 0.499 both give s = 150
+    rows = grid_search(ds, {"b": [2], "rho": [0.5, 0.499], "kd": [5], "kl": [30],
+                            "kg": [10], "lambda": [0.5]}, seed=0)
+    assert [plan.s for plan in plans] == [150]
+    low, high = sorted(rows, key=lambda r: r["rho"])
+    assert {**low, "rho": 0.5} == high
 
 
 def test_grid_thread_invariance(blob_csv, monkeypatch):
@@ -229,13 +255,20 @@ def test_cli_cluster_requires_kd_kl(tmp_path, blob_csv):
     assert main(["cluster", str(path), "--out", str(out)]) == 2
 
 
-def test_cli_validation_exit_codes(tmp_path, blob_csv):
+def test_cli_validation_exit_codes(tmp_path, blob_csv, capsys):
     path, _ = blob_csv
     out = tmp_path / "r"
     # k_d >= s
     code = main(["cluster", str(path), "--b", "1", "--rho", "0.5",
                  "--kd", "200", "--kl", "30", "--out", str(out)])
     assert code == 2
+    # rho is checked before s = ceil(rho * n), which has no int value here
+    for rho in ("inf", "nan"):
+        capsys.readouterr()
+        code = main(["cluster", str(path), "--rho", rho,
+                     "--kd", "5", "--kl", "30", "--out", str(out)])
+        assert code == 2
+        assert f"rho={rho} must lie in (0, 1]" in capsys.readouterr().err
     # missing file
     code = main(["cluster", str(tmp_path / "nope.csv"),
                  "--kd", "5", "--kl", "30", "--out", str(out)])

@@ -6,7 +6,8 @@ import pytest
 from bdmbc.bagging import BaggingPlan, bagged_k_distance
 from bdmbc.data import Dataset, GaussianMixture, _rng, gen_mixture
 from bdmbc.knn import SpatialIndex, k_distances
-from bdmbc.plls import dmbc_plls, empirical_plls, mode_set
+from bdmbc.plls import empirical_plls, mode_set
+from oracles import dmbc_plls
 
 
 def brute_plls(points, bagged, k_l):
@@ -129,8 +130,7 @@ def test_strictly_monotone_distances_single_mode():
 
 def test_hand_example_three_collinear():
     pts = np.array([[0.0], [1.0], [10.0]])
-    idx = SpatialIndex(pts)
-    scores = dmbc_plls(pts, idx, k_d=1, k_l=2)
+    scores = dmbc_plls(pts, k_d=1, k_l=2)
     # k-distances: (1, 1, 9); scores by hand: p0 = (1>=1) + (9>=1) over 2 = 1,
     # p1 = 1, p2 = (1>=9)+(1>=9) over 2 = 0
     assert np.array_equal(scores, [1.0, 1.0, 0.0])
@@ -140,7 +140,7 @@ def test_dmbc_equals_degenerate_bagging():
     rng = _rng(7, 27)
     pts = rng.random((120, 2))
     idx = SpatialIndex(pts)
-    direct = dmbc_plls(pts, idx, k_d=9, k_l=30)
+    direct = dmbc_plls(pts, k_d=9, k_l=30)
     via_bagging = empirical_plls(
         pts, idx, bagged_k_distance(pts, BaggingPlan(b=1, s=120, k_d=9, seed=0)), 30
     )
@@ -154,8 +154,7 @@ def test_dmbc_single_gaussian_mode_location():
     mix = GaussianMixture(means=[[0.0]], covs=[1.0], weights=[1.0])
     for seed in range(3):
         ds = gen_mixture(mix, 1000, seed=seed)
-        idx = SpatialIndex(ds.points)
-        scores = dmbc_plls(ds, idx, k_d=150, k_l=500)
+        scores = dmbc_plls(ds.points, k_d=150, k_l=500)
         modes = mode_set(scores)
         assert len(modes) >= 1
         assert np.all(np.abs(ds.points[modes, 0]) < 0.5)
@@ -168,5 +167,5 @@ def test_parameter_errors():
         empirical_plls(idx.points, idx, np.ones(5), 5)
     with pytest.raises(ValueError):
         empirical_plls(idx.points, idx, np.ones(4), 2)
-    with pytest.raises(ValueError):
-        dmbc_plls(idx.points, idx, k_d=5, k_l=2)
+    with pytest.raises(ValueError):  # the plain k_d-distance needs k_d <= n - 1
+        bagged_k_distance(idx.points, BaggingPlan(b=1, s=5, k_d=5))
