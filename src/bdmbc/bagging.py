@@ -8,12 +8,13 @@ and order-independent.  Rounds are averaged in fixed round order.
 from __future__ import annotations
 
 import math
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 
 from .data import _points, _rng
-from .knn import SpatialIndex, k_distances
+from .knn import SpatialIndex, k_distances, worker_count
 
 # Up to this size one exact (distance, index) order of every pair serves all
 # bagging rounds, and its leading columns are the fit's neighbor table; above
@@ -43,7 +44,9 @@ class BaggingPlan:
             raise ValueError("b must be >= 1")
         if not 1 <= self.s <= n:
             raise ValueError(f"s={self.s} out of range [1, {n}]")
-        if not 1 <= self.k_d <= self.s - 1:
+        if self.k_d < 1:
+            raise ValueError(f"k_d must be >= 1 (k_d={self.k_d})")
+        if self.k_d >= self.s:
             raise ValueError(
                 f"k_d must be smaller than subsample size (k_d={self.k_d}, s={self.s})"
             )
@@ -161,6 +164,7 @@ def _round_brute(points, sub, k_d):
     sub_pts = points[sub]
     in_sub = np.full(n, -1, dtype=np.int64)
     in_sub[sub] = np.arange(len(sub))
+    sq_pts = np.einsum("ij,ij->i", points, points)
     sq_sub = np.einsum("ij,ij->i", sub_pts, sub_pts)
     out = np.empty(n)
     chunk = max(_BRUTE_BLOCK_FLOPS // sub_pts.size, 2)
@@ -169,15 +173,24 @@ def _round_brute(points, sub, k_d):
         # BLAS takes a one-row block through its matrix-vector product,
         # which rounds differently and would split duplicate points' values
         del bounds[-2]
+    # every block reuses one pair of buffers (the last block may hold
+    # chunk + 1 rows); fresh ones cost more than the arithmetic
+    d2_buf = np.empty((chunk + 1, len(sub)))
+    prod_buf = np.empty_like(d2_buf)
     for lo, hi in zip(bounds, bounds[1:]):
-        block = points[lo:hi]
-        d2 = np.einsum("ij,ij->i", block, block)[:, None] + sq_sub[None, :]
-        d2 -= 2.0 * (block @ sub_pts.T)
-        np.maximum(d2, 0.0, out=d2)  # cancellation can leave tiny negatives
+        d2, prod = d2_buf[: hi - lo], prod_buf[: hi - lo]
+        np.add(sq_pts[lo:hi, None], sq_sub[None, :], out=d2)
+        np.matmul(points[lo:hi], sub_pts.T, out=prod)
+        prod *= 2.0
+        d2 -= prod
         pos = in_sub[lo:hi]
         has_self = pos >= 0
         d2[np.flatnonzero(has_self), pos[has_self]] = np.inf
-        out[lo:hi] = np.partition(d2, k_d - 1, axis=1)[:, k_d - 1]
+        d2.partition(k_d - 1, axis=1)
+        out[lo:hi] = d2[:, k_d - 1]
+    # cancellation can leave tiny negatives; clamping keeps the order, so
+    # clamping the selected value equals selecting among clamped ones
+    np.maximum(out, 0.0, out=out)
     return np.sqrt(out)
 
 
@@ -191,13 +204,31 @@ def _round_tree(points, sub, k_d):
 
 
 def _bagged_per_round(points, plan):
-    """One subsample scan per round; brute force when the subsample is small."""
+    """One subsample scan per round; brute force when the subsample is small.
+
+    Brute-force rounds run worker_count() at a time on a thread pool, and at
+    most one wave of them is held at a time.  Tree rounds run on the calling
+    thread: their query has a pool of its own, and on a pool thread here the
+    quantized-ties fit took 2 MB more peak memory.  The total adds the
+    rounds in round order.
+    """
     n = points.shape[0]
-    one_round = _round_brute if plan.s <= _BRUTE_SUBSAMPLE_MAX_S else _round_tree
+    brute = plan.s <= _BRUTE_SUBSAMPLE_MAX_S
+    one_round = _round_brute if brute else _round_tree
+
+    def run(b):
+        return one_round(points, subsample(n, plan.s, _rng(plan.seed, b)), plan.k_d)
+
     total = np.zeros(n)
-    for b in range(plan.b):
-        sub = subsample(n, plan.s, _rng(plan.seed, b))
-        total += one_round(points, sub, plan.k_d)
+    if brute:
+        workers = worker_count()
+        with ThreadPoolExecutor(workers) as pool:
+            for lo in range(0, plan.b, workers):
+                for values in pool.map(run, range(lo, min(lo + workers, plan.b))):
+                    total += values
+    else:
+        for b in range(plan.b):
+            total += run(b)
     return total / plan.b
 
 

@@ -330,6 +330,24 @@ def test_tree_round_equals_brute_round_on_grid():
     assert np.array_equal(bagged_k_distance(pts, plan), total / plan.b)
 
 
+def test_brute_rounds_on_a_pool_sum_in_round_order(monkeypatch):
+    # brute-force rounds run worker_count() at a time on a pool; the total
+    # adds them in round order, bit for bit, at any thread count
+    from bdmbc import bagging
+
+    pts = _rng(8, 17).random((3000, 3))
+    plan = BaggingPlan(b=5, s=100, k_d=4, seed=1)
+    assert len(pts) > bagging._RANK_TABLE_MAX_N
+    assert plan.s <= bagging._BRUTE_SUBSAMPLE_MAX_S
+    total = np.zeros(len(pts))
+    for b in range(plan.b):
+        sub = subsample(len(pts), plan.s, _rng(plan.seed, b))
+        total += bagging._round_brute(pts, sub, plan.k_d)
+    for threads in ("1", "2", "3"):
+        monkeypatch.setenv("BDMBC_THREADS", threads)
+        assert np.array_equal(bagged_k_distance(pts, plan), total / plan.b), threads
+
+
 def test_bagged_scale_equivariance():
     rng = _rng(2, 14)
     pts = rng.random((100, 2))

@@ -205,6 +205,8 @@ def test_config_validation_messages():
     pts = _rng(0, 36).random((50, 2))
     with pytest.raises(ValueError, match="k_d must be smaller than subsample size"):
         bdmbc_fit(pts, BdmbcConfig(k_d=25, k_l=10, b=2, rho=0.5, k_g=5))
+    with pytest.raises(ValueError, match="k_d must be >= 1"):
+        bdmbc_fit(pts, BdmbcConfig(k_d=0, k_l=10, rho=0.5, k_g=5))
     with pytest.raises(ValueError, match="k_l"):
         bdmbc_fit(pts, BdmbcConfig(k_d=5, k_l=50, b=1, rho=1.0, k_g=5))
     with pytest.raises(ValueError, match="lambda"):

@@ -104,6 +104,8 @@ def test_grid_rejects_rho_and_b_before_any_cell(tmp_path, blob_csv, monkeypatch)
             grid_search(ds, {**base, "lambda": [0.5, lam]})
     with pytest.raises(ValueError, match="min_cluster_size must be >= 1"):
         grid_search(ds, base, min_cluster_size=0)
+    with pytest.raises(ValueError, match="k_d must be >= 1"):
+        grid_search(ds, {**base, "kd": [5, 0]})
     gridspec = tmp_path / "grid.json"
     gridspec.write_text(json.dumps({**base, "rho": [0.0]}))
     out = tmp_path / "grid.csv"

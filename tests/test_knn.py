@@ -382,6 +382,53 @@ def test_pool_blocks_are_deterministic_across_thread_counts(monkeypatch):
         assert np.array_equal(got_dist[i], od), i
 
 
+@pytest.mark.parametrize("lattice", [False, True])
+def test_block_order_does_not_change_results(lattice, monkeypatch):
+    # Blocks are formed from the query sites in k-d leaf order, so permuting
+    # the query rows changes which rows share a block.  Each row's list must
+    # not change: the permuted query returns the same rows, permuted.
+    rng = _rng(13, 112)
+    if lattice:
+        # the 16^3 lattice on a 0.25 grid plus 1000 copies of its points
+        grid = 0.25 * np.indices((16, 16, 16)).reshape(3, -1).T.astype(np.float64)
+        pts = np.concatenate([grid, grid[rng.integers(len(grid), size=1000)]])
+        k = 40
+    else:
+        pts = rng.standard_normal((4000, 10))
+        k = 20
+    n = len(pts)
+    assert distinct_rows(pts) > 3 * _ROW_CHUNK  # at least three blocks in the first pass
+    assert distinct_rows(pts) * (k + 1 + _TIE_PAD) >= _PARALLEL_MIN_NEIGHBORS
+    idx = SpatialIndex(pts)
+    perm = rng.permutation(n)
+    for threads in ("1", "2"):
+        monkeypatch.setenv("BDMBC_THREADS", threads)
+        got_idx, got_dist = idx.query_bulk(pts, k, exclude=np.arange(n))
+        perm_idx, perm_dist = idx.query_bulk(pts[perm], k, exclude=perm)
+        assert np.array_equal(perm_idx, got_idx[perm]), threads
+        assert np.array_equal(perm_dist, got_dist[perm]), threads
+    # the oracle's norm rounds 10-D distances its own way
+    for i in range(0, n, 211):
+        oi, od = brute_knn(pts, pts[i], k, exclude_index=i)
+        assert np.array_equal(got_idx[i], oi), i
+        assert np.allclose(got_dist[i], od, rtol=1e-14, atol=0), i
+
+
+def test_tied_locations_from_the_tree_in_descending_order():
+    # Around the origin the tree returns each pair of equal distances with
+    # the higher location first; the unstable sort by distance may keep that
+    # order, so the rows holding equal distances are re-sorted by index.
+    pts = np.array([1.0, -1.0, 2.0, -2.0, 3.0, -3.0])[:, None]
+    idx = SpatialIndex(pts)
+    tree_dist, cand = idx._tree.query([[0.0]], len(pts))
+    assert np.any((tree_dist[0, 1:] == tree_dist[0, :-1]) & (cand[0, 1:] < cand[0, :-1]))
+    for k in range(1, len(pts) + 1):
+        got_idx, got_dist = idx.query_bulk([[0.0]], k)
+        oi, od = brute_knn(pts, [0.0], k)
+        assert np.array_equal(got_idx[0], oi), k
+        assert np.array_equal(got_dist[0], od), k
+
+
 @pytest.mark.parametrize("values", [[0.5], [0.0, 1.0]])
 def test_window_widens_to_all_points(values, monkeypatch):
     # All-identical and two-valued sets: a k-th neighbor at the largest
