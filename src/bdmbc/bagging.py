@@ -215,6 +215,12 @@ def _bagged_per_round(points, plan):
     n = points.shape[0]
     brute = plan.s <= _BRUTE_SUBSAMPLE_MAX_S
     one_round = _round_brute if brute else _round_tree
+    if brute:
+        # Brute rounds form |x|^2 + |y|^2 - 2 x.y, which cancels when the
+        # coordinates are large next to neighbor distances: at an offset of
+        # 1.7e9 every k-distance came out 0.  Centred, they match the tree
+        # rounds on the offset data.
+        points = points - points.mean(axis=0)
 
     def run(b):
         return one_round(points, subsample(n, plan.s, _rng(plan.seed, b)), plan.k_d)

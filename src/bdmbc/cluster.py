@@ -2,8 +2,10 @@
 
 Pipeline: k_G-NN graph over all points, node-induced subgraph on
 scores >= lambda, weakly connected components (the components of the
-union-symmetrized graph), dissolution of undersized components, then 1-NN
-assignment of the remaining points to the nearest surviving core point.
+union-symmetrized graph), dissolution of undersized components, then each
+remaining point joins its nearest surviving core point: the first core
+point along its row of the shared neighbor table, or, for a row holding
+none, the answer of a 1-NN query against the core points.
 Everything is deterministic for a fixed seed; component IDs follow each
 component's smallest member index and final labels are ordered by
 descending cluster size.
@@ -164,9 +166,20 @@ def connected_components(mask, edges):
     return labels
 
 
-def finalize(ds, provisional, core_mask, min_cluster_size):
-    """Dissolve undersized components and 1-NN-assign non-core points.
+# Non-core rows of the neighbor table that finalize scans at a time:
+# gathering every row at once adds to the fit's peak memory.
+_FINALIZE_ROWS = 1024
 
+
+def finalize(ds, provisional, core_mask, min_cluster_size, nbr):
+    """Dissolve undersized components and give each non-core point the
+    label of its nearest surviving core point.
+
+    nbr is an exact self-excluded neighbor table of the points, any width,
+    ordered by (distance, index).  A non-core point's nearest core point is
+    the first core point along its row; only rows holding none are queried
+    against an index over the core points, which numbers them in ascending
+    index order and so breaks ties the same way.
     Returns (labels, final_core_mask, num_clusters) with labels reordered
     by descending cluster size (ties by smallest member index).
     """
@@ -186,12 +199,17 @@ def finalize(ds, provisional, core_mask, min_cluster_size):
     ids = np.unique(labels[core])
     labels[core] = np.searchsorted(ids, labels[core])
     non_core = np.flatnonzero(~core_mask)
-    if non_core.size:
-        # core indices are ascending, so subsample-local tie order equals
-        # the global index tie rule
-        core_index = SpatialIndex(points[core])
-        nearest, _ = core_index.query_bulk(points[non_core], 1)
-        labels[non_core] = labels[core[nearest[:, 0]]]
+    nearest = np.empty(non_core.size, dtype=np.int64)
+    for lo in range(0, non_core.size, _FINALIZE_ROWS):
+        rows = nbr[non_core[lo : lo + _FINALIZE_ROWS]]
+        hit = core_mask[rows]
+        first = np.arange(len(rows)), np.argmax(hit, axis=1)
+        nearest[lo : lo + len(rows)] = np.where(hit[first], rows[first], -1)
+    missing = np.flatnonzero(nearest < 0)
+    if missing.size:
+        found, _ = SpatialIndex(points[core]).query_bulk(points[non_core[missing]], 1)
+        nearest[missing] = core[found[:, 0]]
+    labels[non_core] = labels[nearest]
     num = len(ids)
     sizes = np.bincount(labels, minlength=num)
     first_member = np.full(num, n, dtype=np.int64)
@@ -228,7 +246,7 @@ def _bagged_and_table(points, plans, width, timings):
     t1 = time.perf_counter()
     # after the rounds, so as not to add to their peak memory
     full = [plan.k_d for plan in plans if plan.s == n]
-    nbr, dist = idx.query_bulk(points, max([width] + full), exclude=np.arange(n))
+    nbr, dist = idx.query_bulk(idx.points, max([width] + full), exclude=np.arange(n))
     bagged = [dist[:, plan.k_d - 1].copy() if plan.s == n else values
               for plan, values in zip(plans, bagged)]
     del dist
@@ -240,17 +258,18 @@ def _bagged_and_table(points, plans, width, timings):
     return bagged, nbr
 
 
-def _threshold(points, edges, scores, config, timings):
+def _threshold(points, nbr, edges, scores, config, timings):
     """finalize's (labels, final_core_mask, num_clusters) at config.lam: the
-    threshold stage of a fit and of every grid cell.  timings gets
-    "components" (core subgraph and its components) and "finalize"."""
+    threshold stage of a fit and of every grid cell, on the neighbor table
+    nbr that the edges were sliced from.  timings gets "components" (core
+    subgraph and its components) and "finalize"."""
     t0 = time.perf_counter()
     mask, core_edges = core_subgraph(edges, scores, config.lam)
     provisional = connected_components(mask, core_edges)
     timings["components"] = time.perf_counter() - t0
 
     t0 = time.perf_counter()
-    out = finalize(points, provisional, mask, config.effective_min_cluster_size())
+    out = finalize(points, provisional, mask, config.effective_min_cluster_size(), nbr)
     timings["finalize"] = time.perf_counter() - t0
     return out
 
@@ -287,7 +306,7 @@ def bdmbc_fit(ds, config):
     edges = graph_from_neighbors(nbr[:, : config.k_g])
     timings["graph"] = time.perf_counter() - t0
 
-    labels, final_core, num = _threshold(points, edges, scores, config, timings)
+    labels, final_core, num = _threshold(points, nbr, edges, scores, config, timings)
     modes = mode_set(scores)
     modes = modes[final_core[modes]]  # modes in dissolved components drop out
     return ClusterResult(

@@ -35,8 +35,8 @@ GRID_COLUMNS = ("b", "rho", "kd", "kl", "kg", "lambda",
                 "ari", "nmi", "f1", "acc", "num_clusters")
 
 
-def _cell_report(points, edges, scores, config, true_labels):
-    labels, _, num = _threshold(points, edges, scores, config, {})
+def _cell_report(points, nbr, edges, scores, config, true_labels):
+    labels, _, num = _threshold(points, nbr, edges, scores, config, {})
     report = metric_report(true_labels, labels)
     report["num_clusters"] = num
     return report
@@ -94,7 +94,8 @@ def grid_search(ds, grid, metric="ari", seed=0, min_cluster_size=None):
     try:
         for (plan, kl), cells in by_scores.items():
             scores = plls_from_neighbors(bagged[plan], nbr[:, :kl])
-            futures = [(c, pool.submit(_cell_report, points, graphs[c.k_g], scores, c, ds.labels))
+            futures = [(c, pool.submit(_cell_report, points, nbr, graphs[c.k_g],
+                                       scores, c, ds.labels))
                        for c in cells]
             rows += [{"b": c.b, "rho": c.rho, "kd": c.k_d, "kl": c.k_l, "kg": c.k_g,
                       "lambda": c.lam, **fut.result()} for c, fut in futures]

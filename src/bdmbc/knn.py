@@ -15,11 +15,15 @@ with the tied shell of locations, not with n.
 Query rows are grouped the same way.  Rows with equal coordinates share
 one list, solved once (for k + 1 members when rows exclude an index, each
 row then dropping its own), so query cost grows with distinct locations,
-not with copies.
+not with copies.  A query of the index's own point matrix takes the
+index's locations as its groups.
 
-Each window pass runs in blocks of query locations.  A query whose first
-pass spans several blocks forms them from the locations in k-d leaf order,
-so the rows of one block walk the same branches of the tree.  Large passes
+Each window pass runs in blocks of query locations, sized in elements of
+the (rows, candidates, d) difference array (_BLOCK_DIMS), so memory does
+not grow with dimension.  A query whose first pass spans several blocks
+forms them from the locations in k-d leaf order, so the rows of one block
+walk the same branches of the tree; a self-query reads that order from
+the index's own tree instead of building a second one.  Large passes
 hand whole blocks (tree query, exact distances, sort, tie test and the
 writes of the block's rows) to a thread pool of worker_count() threads
 created for that query; every block writes only its own rows, and a row's
@@ -44,6 +48,12 @@ from scipy.spatial import cKDTree
 # neighbor ties at its edge retry with the window doubled.
 _TIE_PAD = 8
 _ROW_CHUNK = 1024
+# A block's (rows, kq, d) difference array holds at most _ROW_CHUNK x kq x
+# _BLOCK_DIMS elements, kq of the query's first window: _ROW_CHUNK rows of
+# that window up to d = _BLOCK_DIMS, fewer rows above it or in wider
+# windows.  With _ROW_CHUNK rows at any d, a self-query of 4000
+# standard-normal points at d=784, k=50 peaked at 1463 MiB (tracemalloc).
+_BLOCK_DIMS = 16
 # Points per k-d tree leaf, for the index's tree and for the tree that puts
 # query sites in leaf order.  Self-query at k=50 of 20k 10-D blobs (ten
 # clusters, sd 0.3), 2-core x86_64: leaf size 16 took 0.60 s, 32 took
@@ -133,7 +143,10 @@ class SpatialIndex:
         self._tree = cKDTree(self._locations, leafsize=_LEAF_SIZE)
 
     def _exact_distances(self, queries, locations):
-        diff = self._locations[locations] - queries[:, None, :]
+        # the gather is a fresh array, so subtracting in place leaves one
+        # (rows, kq, d) temporary instead of two
+        diff = self._locations[locations]
+        diff -= queries[:, None, :]
         return np.sqrt(np.einsum("ijk,ijk->ij", diff, diff))
 
     def query_bulk(self, queries, k, exclude=None):
@@ -145,6 +158,7 @@ class SpatialIndex:
         Returns (indices, distances), each (m, k), ordered by the
         (distance, index) key.
         """
+        self_query = queries is self.points
         queries = np.ascontiguousarray(np.atleast_2d(np.asarray(queries, dtype=np.float64)))
         m = queries.shape[0]
         limit = self.n - (1 if exclude is not None else 0)
@@ -159,12 +173,18 @@ class SpatialIndex:
                 )
         # one list of kk members per distinct query location
         kk = k + (1 if exclude is not None else 0)
-        first, rows_by_loc, row_starts, row_sizes = _group_rows(queries)
-        sites = queries if first.size == m else queries[first]
+        if self_query:
+            # the index's own locations are the query sites
+            first, rows_by_loc, row_starts, row_sizes = (
+                self._lowest, self._members, self._starts, self._sizes)
+            sites = self._locations
+        else:
+            first, rows_by_loc, row_starts, row_sizes = _group_rows(queries)
+            sites = queries if first.size == m else queries[first]
         kq = min(self._lowest.size, kk + _TIE_PAD)
-        # every window runs in blocks within the first window's locations x
-        # kq, at most worker_count() blocks at a time
-        budget = _ROW_CHUNK * kq
+        # every window runs in blocks of at most budget (rows, kq, d)
+        # difference elements, at most worker_count() blocks at a time
+        budget = _ROW_CHUNK * kq * min(self.d, _BLOCK_DIMS)
         out_idx = np.empty((m, k), dtype=np.int64)
         out_dist = np.empty((m, k), dtype=np.float64)
 
@@ -188,14 +208,15 @@ class SpatialIndex:
             return block[tied]
 
         pending = np.arange(first.size)
-        if first.size > _ROW_CHUNK:
+        if first.size * kq * self.d > budget:
             # the first pass spans several blocks: take the sites in k-d
             # leaf order, which the retries keep
-            pending = cKDTree(sites, leafsize=_LEAF_SIZE).indices
+            tree = self._tree if self_query else cKDTree(sites, leafsize=_LEAF_SIZE)
+            pending = tree.indices
         pool = None
         try:
             while pending.size:
-                step = max(budget // kq, 1)
+                step = max(budget // (kq * self.d), 1)
                 blocks = [pending[lo : lo + step] for lo in range(0, pending.size, step)]
                 workers = worker_count() if pending.size * kq >= _PARALLEL_MIN_NEIGHBORS else 1
                 if workers > 1 and len(blocks) > 1:

@@ -176,8 +176,9 @@ def test_05_degenerate_equivalence():
         graph = build_kg_graph(idx, kg)
         mask, edges = core_subgraph(graph, scores, lam)
         prov = connected_components(mask, edges)
+        nbr, _ = idx.query_bulk(pts, kg, exclude=np.arange(n))
         labels, core, num = finalize(pts, prov, mask,
-                                     cfg.effective_min_cluster_size())
+                                     cfg.effective_min_cluster_size(), nbr)
         same = (np.array_equal(bagged_res.labels, labels)
                 and np.array_equal(bagged_res.plls, scores)
                 and np.array_equal(bagged_res.core_mask, core)

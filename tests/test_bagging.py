@@ -20,7 +20,7 @@ from bdmbc.bagging import (
     subsample,
     unit_ball_volume,
 )
-from bdmbc.data import Dataset, _rng
+from bdmbc.data import Dataset, _rng, gen_multiblobs
 from bdmbc.knn import SpatialIndex, k_distances
 
 
@@ -339,13 +339,33 @@ def test_brute_rounds_on_a_pool_sum_in_round_order(monkeypatch):
     plan = BaggingPlan(b=5, s=100, k_d=4, seed=1)
     assert len(pts) > bagging._RANK_TABLE_MAX_N
     assert plan.s <= bagging._BRUTE_SUBSAMPLE_MAX_S
+    centred = pts - pts.mean(axis=0)  # as the brute path centres before its rounds
     total = np.zeros(len(pts))
     for b in range(plan.b):
         sub = subsample(len(pts), plan.s, _rng(plan.seed, b))
-        total += bagging._round_brute(pts, sub, plan.k_d)
+        total += bagging._round_brute(centred, sub, plan.k_d)
     for threads in ("1", "2", "3"):
         monkeypatch.setenv("BDMBC_THREADS", threads)
         assert np.array_equal(bagged_k_distance(pts, plan), total / plan.b), threads
+
+
+@pytest.mark.parametrize("offset", [1e7, 1.7e9])
+def test_brute_rounds_exact_on_shifted_data(offset):
+    # |x|^2 + |y|^2 - 2 x.y cancels at large offsets (every k-distance came
+    # out 0 at 1.7e9); the brute path must match tree rounds on the same input
+    from bdmbc import bagging
+
+    pts = gen_multiblobs(5000, 2, 5, seed=1).points + offset
+    plan = BaggingPlan(b=10, s=100, k_d=5, seed=0)
+    assert len(pts) > bagging._RANK_TABLE_MAX_N
+    assert plan.s <= bagging._BRUTE_SUBSAMPLE_MAX_S
+    total = np.zeros(len(pts))
+    for b in range(plan.b):
+        total += bagging._round_tree(pts, subsample(len(pts), plan.s, _rng(plan.seed, b)),
+                                     plan.k_d)
+    oracle = total / plan.b
+    got = bagged_k_distance(pts, plan)
+    assert np.max(np.abs(got - oracle) / oracle) < 1e-12
 
 
 def test_bagged_scale_equivariance():

@@ -21,7 +21,7 @@ from bdmbc.cluster import (
 from bdmbc.data import Dataset, _rng, gen_multiblobs
 from bdmbc.knn import SpatialIndex
 from bdmbc.plls import empirical_plls, mode_set
-from oracles import dmbc_plls
+from oracles import dmbc_plls, finalize_by_tree
 
 
 def brute_edges(points, k_g):
@@ -154,10 +154,18 @@ def test_components_match_bfs_oracle(seed):
 # ---------------------------------------------------------------- finalize
 
 
+def table(points, width=None):
+    """The exact self-excluded neighbor table finalize reads (default: every
+    other point)."""
+    n = len(points)
+    nbr, _ = SpatialIndex(points).query_bulk(points, width or n - 1, exclude=np.arange(n))
+    return nbr
+
+
 def test_finalize_all_core_unchanged():
     pts = np.array([[0.0], [1.0], [10.0], [11.0]])
     provisional = np.array([0, 0, 1, 1])
-    labels, core, num = finalize(pts, provisional, np.ones(4, dtype=bool), 2)
+    labels, core, num = finalize(pts, provisional, np.ones(4, dtype=bool), 2, table(pts))
     assert num == 2
     assert np.array_equal(labels, [0, 0, 1, 1])
     assert np.all(core)
@@ -167,7 +175,7 @@ def test_finalize_tie_goes_to_lower_index_core():
     pts = np.array([[0.0], [2.0], [1.0]])  # point 2 equidistant from 0 and 1
     provisional = np.array([0, 1, -1])
     labels, _, num = finalize(pts, provisional,
-                              np.array([True, True, False]), 1)
+                              np.array([True, True, False]), 1, table(pts))
     assert num == 2
     assert labels[2] == labels[0]
 
@@ -176,7 +184,7 @@ def test_finalize_dissolves_small_component():
     # cores {0,1,2} clustered, singleton core 3 dissolved and reassigned
     pts = np.array([[0.0], [0.1], [0.2], [5.0]])
     provisional = np.array([0, 0, 0, 1])
-    labels, core, num = finalize(pts, provisional, np.ones(4, dtype=bool), 2)
+    labels, core, num = finalize(pts, provisional, np.ones(4, dtype=bool), 2, table(pts))
     assert num == 1
     assert np.array_equal(labels, [0, 0, 0, 0])
     assert not core[3]
@@ -184,7 +192,8 @@ def test_finalize_dissolves_small_component():
 
 def test_finalize_no_core_single_cluster():
     pts = np.arange(4.0)[:, None]
-    labels, core, num = finalize(pts, np.full(4, -1), np.zeros(4, dtype=bool), 2)
+    labels, core, num = finalize(pts, np.full(4, -1), np.zeros(4, dtype=bool), 2,
+                                 table(pts))
     assert num == 1
     assert np.array_equal(labels, np.zeros(4, dtype=np.int64))
 
@@ -193,11 +202,58 @@ def test_finalize_orders_labels_by_size():
     # big cluster second in index order must still get label 0
     pts = np.concatenate([np.zeros((2, 1)), np.full((5, 1), 10.0) + np.arange(5)[:, None] * 0.1])
     provisional = np.array([0, 0, 1, 1, 1, 1, 1])
-    labels, _, num = finalize(pts, provisional, np.ones(7, dtype=bool), 2)
+    labels, _, num = finalize(pts, provisional, np.ones(7, dtype=bool), 2, table(pts))
     assert num == 2
     assert np.array_equal(labels, [1, 1, 0, 0, 0, 0, 0])
 
 
+def finalize_cases():
+    """(name, points, provisional, core mask, min cluster size) on blobs,
+    0.25-quantized blobs (core points tied at equal distance), components
+    dissolved into non-core rows, and all-core and no-core sets."""
+    blobs = gen_multiblobs(1500, 2, 4, seed=11).points
+    quantized = np.round(blobs / 0.25) * 0.25
+    for name, pts, lam, min_size in (("blobs", blobs, 0.5, 30),
+                                     ("quantized", quantized, 0.5, 30),
+                                     ("dissolved", blobs, 0.8, 60)):
+        mask, edges = core_subgraph(build_kg_graph(SpatialIndex(pts), 10),
+                                    dmbc_plls(pts, 10, 40), lam)
+        yield name, pts, connected_components(mask, edges), mask, min_size
+    n = len(blobs)
+    yield "all-core", blobs, np.repeat(np.arange(4), n // 4 + 1)[:n], np.ones(n, dtype=bool), 1
+    yield "no-core", blobs, np.full(n, -1), np.zeros(n, dtype=bool), 1
+
+
+@pytest.mark.parametrize("width", [1, 15, 100])
+def test_finalize_reads_table_like_the_tree_oracle(width, monkeypatch):
+    # a non-core row takes the first core point along its table row; rows
+    # with none in the table (all of them at some width-1 rows) fall back to
+    # a core index, which is built only then
+    built = []
+    init = SpatialIndex.__init__
+
+    def record(self, points):
+        built.append(len(points))
+        init(self, points)
+
+    dissolved = fallbacks = 0
+    for name, pts, provisional, mask, min_size in finalize_cases():
+        nbr = table(pts, width)
+        expected = finalize_by_tree(pts, provisional, mask, min_size)
+        monkeypatch.setattr(SpatialIndex, "__init__", record)
+        built.clear()
+        got = finalize(pts, provisional, mask, min_size, nbr)
+        monkeypatch.undo()
+        assert np.array_equal(got[0], expected[0]), (name, width)
+        assert np.array_equal(got[1], expected[1]), (name, width)
+        assert got[2] == expected[2], (name, width)
+        core = expected[1]
+        uncovered = np.any(~core) and not np.all(core[nbr[~core]].any(axis=1))
+        assert len(built) == int(bool(np.any(core)) and uncovered), (name, width)
+        fallbacks += uncovered
+        dissolved += np.count_nonzero(mask & ~core)
+    assert dissolved > 0
+    assert fallbacks > 0
 # --------------------------------------------------------------- bdmbc_fit
 
 
@@ -318,8 +374,9 @@ def test_fit_equals_public_stage_composition(quantized, bagged):
     plan = BaggingPlan(b=cfg.b, s=cfg.subsample_size(600), k_d=cfg.k_d, seed=cfg.seed)
     scores = empirical_plls(pts, idx, bagged_k_distance(pts, plan), cfg.k_l)
     mask, edges = core_subgraph(build_kg_graph(idx, cfg.k_g), scores, cfg.lam)
+    nbr, _ = idx.query_bulk(pts, cfg.k_g, exclude=np.arange(600))
     labels, core, num = finalize(pts, connected_components(mask, edges), mask,
-                                 cfg.effective_min_cluster_size())
+                                 cfg.effective_min_cluster_size(), nbr)
     modes = mode_set(scores)
     assert np.array_equal(res.plls, scores)
     assert np.array_equal(res.labels, labels)

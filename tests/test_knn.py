@@ -7,6 +7,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from bdmbc import knn
 from bdmbc.data import _rng
 from bdmbc.knn import (
     _PARALLEL_MIN_NEIGHBORS,
@@ -469,6 +470,74 @@ def test_identical_points_widen_in_bounded_memory():
     assert np.array_equal(nbr, expected)
     assert np.all(dist == 0.0)
     assert peak < 128 * 2**20, f"peak {peak / 2**20:.0f} MiB"
+
+
+def test_high_dimensional_blocks_in_bounded_memory():
+    # blocks are budgeted in (rows, kq, d) elements, not rows: 1024-row
+    # blocks of this self-query peaked at 1463 MiB
+    n, k, d = 4000, 50, 784
+    pts = _rng(0, 110).standard_normal((n, d))
+    tracemalloc.start()
+    try:
+        nbr, dist = SpatialIndex(pts).query_bulk(pts, k, exclude=np.arange(n))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    for i in (0, 1234, n - 1):
+        expected, expected_dist = brute_knn(pts, pts[i], k, exclude_index=i)
+        assert np.array_equal(nbr[i], expected)
+        assert np.allclose(dist[i], expected_dist, rtol=1e-12)
+    assert peak < 64 * 2**20, f"peak {peak / 2**20:.0f} MiB"
+
+
+def test_exact_distances_hold_one_difference_array():
+    # the gathered candidates are the difference array, not a second copy
+    rows, kq, d = 1024, 59, 10
+    rng = _rng(1, 111)
+    idx = SpatialIndex(rng.random((2000, d)))
+    queries = rng.random((rows, d))
+    locations = rng.integers(0, 2000, (rows, kq))
+    tracemalloc.start()
+    try:
+        dist = idx._exact_distances(queries, locations)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    diff = idx.points[locations] - queries[:, None, :]
+    assert np.array_equal(dist, np.sqrt(np.einsum("ijk,ijk->ij", diff, diff)))
+    assert peak < 1.5 * diff.nbytes, f"peak {peak / diff.nbytes:.2f} difference arrays"
+
+
+@pytest.mark.parametrize("kind", ["continuous", "duplicated", "quantized"])
+def test_self_query_reuses_the_index(kind, monkeypatch):
+    # querying the index's own points takes its locations and its tree as
+    # the leaf order: the same lists bit for bit, and no second tree
+    rng = _rng(2, 112)
+    pts = rng.random((3000, 2))
+    if kind == "duplicated":
+        pts = pts[rng.integers(0, 1500, 3000)]
+    elif kind == "quantized":
+        pts = np.round(pts * 40) / 40
+    # several blocks, so a query of other rows builds a leaf-order tree
+    assert distinct_rows(pts) > _ROW_CHUNK
+    builds = []
+    tree = knn.cKDTree
+
+    def counted(*args, **kwargs):
+        builds.append(len(args[0]))
+        return tree(*args, **kwargs)
+
+    monkeypatch.setattr(knn, "cKDTree", counted)
+    idx = SpatialIndex(pts)
+    exclude = np.arange(len(pts))
+    for k, excl in ((1, None), (7, exclude), (30, exclude)):
+        builds.clear()
+        own = idx.query_bulk(idx.points, k, exclude=excl)
+        assert builds == [], (k, builds)
+        other = idx.query_bulk(idx.points.copy(), k, exclude=excl)
+        assert len(builds) == 1, k
+        assert np.array_equal(own[0], other[0]), k
+        assert np.array_equal(own[1].view(np.uint64), other[1].view(np.uint64)), k
 
 
 def test_identical_points_cost_one_location():
