@@ -14,14 +14,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .data import _points, _rng
-from .knn import SpatialIndex, k_distances, worker_count
+from .knn import SpatialIndex, worker_count
 
-# Up to this size one exact (distance, index) order of every pair serves all
-# bagging rounds, and its leading columns are the fit's neighbor table; above
-# it, per-round scans respect the complexity budget.
+# Up to this size one exact self-excluded k-NN table of all n - 1 others
+# serves all bagging rounds; above it, per-round scans respect the
+# complexity budget.
 _RANK_TABLE_MAX_N = 2048
-# Element budget of _pairwise_order's (rows, n, d) difference blocks.  It
-# also sets the groups in which rounds are summed, _CHUNK_ELEMENTS // (n * s)
+# Rank-table rounds are summed in groups of _CHUNK_ELEMENTS // (n * s)
 # rounds (at most 4000): each group's total first, then the running total.
 # The grouping fixes the floating-point order of the average.
 _CHUNK_ELEMENTS = 5_000_000
@@ -59,42 +58,6 @@ def subsample(n, s, rng):
     return rng.choice(n, size=s, replace=False)
 
 
-def _pairwise_order(points):
-    """Every point's neighbors in (distance, index) order, itself last.
-
-    Returns (sorted_dist, order), both (n, n).  order[i] lists the points by
-    distance to point i, ties by index, with i itself parked at position
-    n-1 (distance inf); sorted_dist[i] holds those distances.  So
-    order[:, :k] and sorted_dist[:, :k] are the exact self-excluded k-NN
-    table, equal bit for bit to SpatialIndex.query_bulk(points, k,
-    exclude=arange(n)), which computes its distances the same way.
-    """
-    n, d = points.shape
-    dist = np.empty((n, n))
-    step = max(_CHUNK_ELEMENTS // (n * d), 1)
-    for lo in range(0, n, step):
-        diff = points[lo : lo + step, None, :] - points[None, :, :]
-        np.sqrt(np.einsum("ijk,ijk->ij", diff, diff), out=dist[lo : lo + step])
-    np.fill_diagonal(dist, np.inf)
-    # an unstable sort is several times faster than a stable one; only rows
-    # holding equal distances need the stable sort's index order
-    order = np.argsort(dist, axis=1)
-    sorted_dist = np.take_along_axis(dist, order, axis=1)
-    tied = np.flatnonzero(np.any(sorted_dist[:, 1:] == sorted_dist[:, :-1], axis=1))
-    if tied.size:
-        order[tied] = np.argsort(dist[tied], axis=1, kind="stable")
-    return sorted_dist, order
-
-
-def _rounds_order(points, sizes):
-    """_pairwise_order(points) when bagging at one of the subsample sizes
-    reads it (n <= _RANK_TABLE_MAX_N and s < n), else None."""
-    n = points.shape[0]
-    if n <= _RANK_TABLE_MAX_N and any(s < n for s in sizes):
-        return _pairwise_order(points)
-    return None
-
-
 def _count_members(hits_at, positions, count, pos, k_d):
     """Advance member counts over order positions, in place.
 
@@ -108,18 +71,19 @@ def _count_members(hits_at, positions, count, pos, k_d):
             break  # every counter is done: later positions add nothing
 
 
-def _bagged_rank_table(pairwise, plan):
-    """All rounds from one pairwise order; exact, vectorized over rounds.
+def _bagged_rank_table(table, plan):
+    """All rounds from one k-NN table; exact, vectorized over rounds.
 
-    In a round, point i's k_d-distance is sorted_dist[i, p], where p is the
-    position of the k_d-th subsample member along order[i] (i itself sits
-    last, so it never counts).  Members are counted position by position for
-    every (point, round) pair at once, over a short window of about twice
-    the expected position; pairs still short of k_d members then continue
-    alone up to position k_d + n - s, by which k_d members have passed,
-    since only n - s points lie outside the subsample.
+    table is the (indices, distances) of the self-excluded (n - 1)-NN
+    query.  In a round, point i's k_d-distance is distances[i, p], where p
+    is the position of the k_d-th subsample member along indices[i] (i
+    itself is absent, so it never counts).  Members are counted position by
+    position for every (point, round) pair at once, over a short window of
+    about twice the expected position; pairs still short of k_d members then
+    continue alone up to position k_d + n - s, by which k_d members have
+    passed, since only n - s points lie outside the subsample.
     """
-    sorted_dist, order = pairwise
+    order, sorted_dist = table
     n = order.shape[0]
     k_d = plan.k_d
     full = min(n - 1, k_d + n - plan.s)
@@ -238,29 +202,37 @@ def _bagged_per_round(points, plan):
     return total / plan.b
 
 
-def bagged_k_distance(ds, plan, pairwise=None):
+def _table_width(n, plans):
+    """Columns of the self-excluded k-NN table of n points that bagging
+    reads for these plans: n - 1 for the rank table (n <=
+    _RANK_TABLE_MAX_N, s < n), k_d at s == n, none for per-round scans."""
+    return max((plan.k_d if plan.s == n else n - 1 if n <= _RANK_TABLE_MAX_N else 0
+                for plan in plans), default=0)
+
+
+def bagged_k_distance(ds, plan, table=None):
     """Average k_d-distance over B subsamples of size s (one value per point).
 
     A point inside a round's subsample is excluded from its own neighbor
     list there.  The degenerate plan (B=1, s=n) equals the plain
-    k-distance bit for bit.  Where _rounds_order builds one, the rounds read
-    the points' pairwise order: pass pairwise=_pairwise_order(points) to
-    share one with other stages, or it is built here.
+    k-distance bit for bit.  Where _table_width is nonzero the rounds read
+    the points' self-excluded k-NN table, (indices, distances) at least that
+    wide: pass table= to share one with other stages, or it is queried here.
     """
     points = _points(ds)
     n = points.shape[0]
     plan.validate(n)
+    width = _table_width(n, [plan])
+    if width == 0:
+        return _bagged_per_round(points, plan)
+    if table is None:
+        idx = SpatialIndex(points)
+        table = idx.query_bulk(idx.points, width, exclude=np.arange(n))
     if plan.s == n:
         # Every round sees the full data, so the average is the plain
         # k-distance regardless of B.
-        if pairwise is not None:
-            return pairwise[0][:, plan.k_d - 1].copy()
-        return k_distances(SpatialIndex(points), plan.k_d)
-    if pairwise is None:
-        pairwise = _rounds_order(points, [plan.s])
-    if pairwise is not None:
-        return _bagged_rank_table(pairwise, plan)
-    return _bagged_per_round(points, plan)
+        return table[1][:, plan.k_d - 1].copy()
+    return _bagged_rank_table(table, plan)
 
 
 def _weight_block(n, s, ks):
@@ -326,9 +298,9 @@ def infinite_bagged_k_distance(ds, s, k):
     s_eff = min(s, n - 1)
     if not 1 <= k <= s_eff:
         raise ValueError(f"need 1 <= k <= min(s, n-1), got k={k}, s={s}, n={n}")
-    sorted_dist, _ = _pairwise_order(points)
-    w = bagging_weights(n - 1, s_eff, k)
-    return sorted_dist[:, : n - 1] @ w
+    idx = SpatialIndex(points)
+    _, dist = idx.query_bulk(idx.points, n - 1, exclude=np.arange(n))
+    return dist @ bagging_weights(n - 1, s_eff, k)
 
 
 def unit_ball_volume(d):

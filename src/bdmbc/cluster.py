@@ -20,7 +20,7 @@ import numpy as np
 from scipy.sparse import coo_matrix
 from scipy.sparse.csgraph import connected_components as _cc
 
-from .bagging import BaggingPlan, _rounds_order, bagged_k_distance
+from .bagging import BaggingPlan, _table_width, bagged_k_distance
 from .data import _points
 from .knn import SpatialIndex
 from .plls import mode_set, plls_from_neighbors
@@ -224,38 +224,27 @@ def _bagged_and_table(points, plans, width, timings):
     """Each plan's bagged k-distances, and the one exact neighbor table,
     at least width columns wide, that every later stage slices.
 
-    For n <= _RANK_TABLE_MAX_N with some plan at s < n, the table is the
-    leading columns of the pairwise order that the bagging rounds read.
-    Otherwise it is one query after the rounds, widened to the k_d of every
-    plan with s == n, whose k_d-th column is that plan's plain k-distance.
-    timings gets "index" for an index build, "bagged_kdist" for the pairwise
-    order, the rounds and a widened query, and "plls" for a query that no
-    plan reads.
+    One index and one self-query serve every stage: the query is widened to
+    the columns that bagging reads (bagging._table_width), and every plan's
+    rounds read it.  timings gets "index" for the index build,
+    "bagged_kdist" for the rounds and for the query if they read it, and
+    "plls" for a query that no plan reads.
     """
     n = points.shape[0]
     t0 = time.perf_counter()
-    pairwise = _rounds_order(points, [plan.s for plan in plans])
-    if pairwise is not None:
-        bagged = [bagged_k_distance(points, plan, pairwise=pairwise) for plan in plans]
-        timings["bagged_kdist"] = time.perf_counter() - t0
-        return bagged, pairwise[1][:, :width]  # frees the sorted distances
     idx = SpatialIndex(points)
-    timings["index"] = time.perf_counter() - t0
-    t0 = time.perf_counter()
-    bagged = [bagged_k_distance(points, plan) if plan.s < n else None for plan in plans]
     t1 = time.perf_counter()
-    # after the rounds, so as not to add to their peak memory
-    full = [plan.k_d for plan in plans if plan.s == n]
-    nbr, dist = idx.query_bulk(idx.points, max([width] + full), exclude=np.arange(n))
-    bagged = [dist[:, plan.k_d - 1].copy() if plan.s == n else values
-              for plan, values in zip(plans, bagged)]
-    del dist
+    read = _table_width(n, plans)
+    table = idx.query_bulk(idx.points, max(width, read), exclude=np.arange(n))
     t2 = time.perf_counter()
-    if full:
-        timings["bagged_kdist"] = t2 - t0
+    bagged = [bagged_k_distance(points, plan, table=table) for plan in plans]
+    t3 = time.perf_counter()
+    timings["index"] = t1 - t0
+    if read:
+        timings["bagged_kdist"] = t3 - t1
     else:
-        timings["bagged_kdist"], timings["plls"] = t1 - t0, t2 - t1
-    return bagged, nbr
+        timings["bagged_kdist"], timings["plls"] = t3 - t2, t2 - t1
+    return bagged, table[0][:, :width]
 
 
 def _threshold(points, nbr, edges, scores, config, timings):

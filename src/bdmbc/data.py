@@ -26,8 +26,9 @@ def _rng(seed, stream=0):
 
 
 def _points(ds):
-    """The float64 point matrix of a Dataset or of an array-like."""
-    return ds.points if hasattr(ds, "points") else np.asarray(ds, dtype=np.float64)
+    """The float64 point matrix of a Dataset, or of an array-like that passes
+    a Dataset's checks (2-D, nonempty, finite)."""
+    return ds.points if hasattr(ds, "points") else Dataset(ds).points
 
 
 @dataclass(frozen=True)

@@ -1,8 +1,9 @@
 """Cartesian hyperparameter grid evaluation with stage-level caching.
 
-Every grid cell is one BdmbcConfig, run as a fit runs it.  Cells with equal
-(b, s, kd) share one bagging pass, which also yields one exact neighbor
-table as wide as the largest k_l or k_g (see cluster._bagged_and_table).
+Every grid cell is one BdmbcConfig, run as a fit runs it.  One exact
+neighbor table, at least as wide as the largest k_l or k_g, serves every
+cell and every bagging pass, and cells with equal (b, s, kd) share one
+pass (see cluster._bagged_and_table).
 Scores are reused across (k_g, lambda) and graphs across every cell, so
 dense grids over the cheap parameters cost little more than a single fit.
 """

@@ -10,7 +10,9 @@ as many of its lowest members as the list holds.  A row whose k-th
 neighbor ties at the edge of its candidate window is queried again with a
 window of twice as many locations, until the window certifies it or holds
 every location, so results always agree with brute force and cost grows
-with the tied shell of locations, not with n.
+with the tied shell of locations, not with n.  A window of every location
+skips the tree walk: its candidates are all locations, so a query for
+k = n - 1 is the (distance, index) order of every pair.
 
 Query rows are grouped the same way.  Rows with equal coordinates share
 one list, solved once (for k + 1 members when rows exclude an index, each
@@ -19,8 +21,9 @@ not with copies.  A query of the index's own point matrix takes the
 index's locations as its groups.
 
 Each window pass runs in blocks of query locations, sized in elements of
-the (rows, candidates, d) difference array (_BLOCK_DIMS), so memory does
-not grow with dimension.  A query whose first pass spans several blocks
+the (rows, candidates, d) difference array (_BLOCK_DIMS) and of the (rows,
+candidates) distance arrays (_BLOCK_WINDOW), so memory grows neither with
+dimension nor with the window.  A query whose first pass spans several blocks
 forms them from the locations in k-d leaf order, so the rows of one block
 walk the same branches of the tree; a self-query reads that order from
 the index's own tree instead of building a second one.  Large passes
@@ -48,12 +51,17 @@ from scipy.spatial import cKDTree
 # neighbor ties at its edge retry with the window doubled.
 _TIE_PAD = 8
 _ROW_CHUNK = 1024
-# A block's (rows, kq, d) difference array holds at most _ROW_CHUNK x kq x
-# _BLOCK_DIMS elements, kq of the query's first window: _ROW_CHUNK rows of
-# that window up to d = _BLOCK_DIMS, fewer rows above it or in wider
-# windows.  With _ROW_CHUNK rows at any d, a self-query of 4000
-# standard-normal points at d=784, k=50 peaked at 1463 MiB (tracemalloc).
+# A block holds _ROW_CHUNK rows of the query's first window of kq
+# locations while kq <= _BLOCK_WINDOW and d <= _BLOCK_DIMS, and fewer rows
+# above either or in wider retries, so its (rows, kq, d) difference array
+# holds at most _ROW_CHUNK x min(kq, _BLOCK_WINDOW) x _BLOCK_DIMS elements
+# and its (rows, kq) arrays, and the lists it writes, at most _ROW_CHUNK x
+# _BLOCK_WINDOW.  With _ROW_CHUNK rows at any d, a self-query of 4000
+# standard-normal points at d=784, k=50 peaked at 1463 MiB (tracemalloc);
+# at any window, a grid search over 2000 1-D points, whose table query
+# reads all n - 1 neighbors, peaked at 320-326 MB RSS instead of 160 MB.
 _BLOCK_DIMS = 16
+_BLOCK_WINDOW = 128
 # Points per k-d tree leaf, for the index's tree and for the tree that puts
 # query sites in leaf order.  Self-query at k=50 of 20k 10-D blobs (ten
 # clusters, sd 0.3), 2-core x86_64: leaf size 16 took 0.60 s, 32 took
@@ -160,6 +168,8 @@ class SpatialIndex:
         """
         self_query = queries is self.points
         queries = np.ascontiguousarray(np.atleast_2d(np.asarray(queries, dtype=np.float64)))
+        if not np.all(np.isfinite(queries)):
+            raise ValueError("query rows contain NaN or Inf")
         m = queries.shape[0]
         limit = self.n - (1 if exclude is not None else 0)
         if not 1 <= k <= limit:
@@ -184,7 +194,7 @@ class SpatialIndex:
         kq = min(self._lowest.size, kk + _TIE_PAD)
         # every window runs in blocks of at most budget (rows, kq, d)
         # difference elements, at most worker_count() blocks at a time
-        budget = _ROW_CHUNK * kq * min(self.d, _BLOCK_DIMS)
+        budget = _ROW_CHUNK * min(kq, _BLOCK_WINDOW) * min(self.d, _BLOCK_DIMS)
         out_idx = np.empty((m, k), dtype=np.int64)
         out_dist = np.empty((m, k), dtype=np.float64)
 
@@ -195,8 +205,9 @@ class SpatialIndex:
             done = block[~tied]
             rows = rows_by_loc[_ranges(row_starts[done], row_sizes[done])]
             owner = np.repeat(np.flatnonzero(~tied), row_sizes[done])
-            for lo in range(0, rows.size, _ROW_CHUNK):
-                row, own = rows[lo : lo + _ROW_CHUNK], owner[lo : lo + _ROW_CHUNK]
+            chunk = max(_ROW_CHUNK * min(kk, _BLOCK_WINDOW) // kk, 1)
+            for lo in range(0, rows.size, chunk):
+                row, own = rows[lo : lo + chunk], owner[lo : lo + chunk]
                 row_idx, row_dist = nbr[own], dist[own]
                 if exclude is not None:
                     # each row drops its excluded index, or else the (k+1)-th
@@ -234,11 +245,15 @@ class SpatialIndex:
 
     def _query_window(self, queries, kk, kq):
         """Exact kk-lists from a window of kq tree candidate locations per
-        row, and the rows that must retry with a wider window."""
-        tree_dist, cand = self._tree.query(queries, kq)
-        if kq == 1:
-            tree_dist = tree_dist[:, None]
-            cand = cand[:, None]
+        row, and the rows that must retry with a wider window.  A window of
+        every location skips the tree walk."""
+        if kq < self._lowest.size:
+            edge, cand = self._tree.query(queries, kq)  # 1-D when kq == 1
+            edge, cand = edge.reshape(len(queries), -1)[:, -1], cand.reshape(len(queries), -1)
+        else:
+            # a window of every location needs no tree walk
+            cand = np.broadcast_to(np.arange(kq), (len(queries), kq))
+            edge = np.inf
         dist = self._exact_distances(queries, cand)
         # Locations are numbered in the order of their lowest members.  An
         # unstable sort by distance is exact unless a row holds equal
@@ -267,7 +282,7 @@ class SpatialIndex:
         # distance (up to rounding); a kk-th neighbor that reaches it may tie
         # with a lower-index point outside, unless the window holds every
         # location.
-        tied = head[:, kk - 1] >= tree_dist[:, -1] * (1.0 - 1e-12)
+        tied = head[:, kk - 1] >= edge * (1.0 - 1e-12)
         return nbr, head, tied & (kq < self._lowest.size)
 
     def _expand(self, cand, dist, kk):

@@ -195,9 +195,27 @@ def test_rank_table_and_per_round_paths_agree():
     rng = _rng(9, 13)
     pts = rng.random((120, 2))
     plan = BaggingPlan(b=20, s=40, k_d=5, seed=2)
-    via_table = bagging._bagged_rank_table(bagging._pairwise_order(pts), plan)
+    via_table = bagging._bagged_rank_table(knn_table(pts), plan)
     via_rounds = bagging._bagged_per_round(pts, plan)
     assert np.allclose(via_table, via_rounds, rtol=1e-9, atol=1e-12)
+
+
+def knn_table(points):
+    """The self-excluded (n - 1)-NN table that the rank-table rounds read."""
+    n = len(points)
+    return SpatialIndex(points).query_bulk(points, n - 1, exclude=np.arange(n))
+
+
+def pairwise_order(points):
+    """Oracle: (order, sorted_dist), both (n, n).  order[i] lists the points
+    by (distance to point i, index), with i itself parked last at distance
+    inf; sorted_dist[i] holds those distances."""
+    n = points.shape[0]
+    diff = points[:, None, :] - points[None, :, :]
+    dist = np.sqrt(np.einsum("ijk,ijk->ij", diff, diff))
+    np.fill_diagonal(dist, np.inf)
+    order = np.lexsort((np.broadcast_to(np.arange(n), (n, n)), dist))
+    return order, np.take_along_axis(dist, order, axis=1)
 
 
 def partition_rank_table(points, plan):
@@ -208,11 +226,7 @@ def partition_rank_table(points, plan):
     Rounds are summed in the same groups as the library's average.
     """
     n = points.shape[0]
-    diff = points[:, None, :] - points[None, :, :]
-    dist = np.sqrt(np.einsum("ijk,ijk->ij", diff, diff))
-    np.fill_diagonal(dist, np.inf)
-    order = np.lexsort((np.broadcast_to(np.arange(n), (n, n)), dist))
-    sorted_dist = np.take_along_axis(dist, order, axis=1)
+    order, sorted_dist = pairwise_order(points)
     rank = np.empty((n, n), dtype=np.int32)
     np.put_along_axis(rank, order, np.arange(n, dtype=np.int32)[None, :], axis=1)
     total = np.zeros(n)
@@ -262,7 +276,7 @@ def test_windowed_rounds_equal_partition_oracle(monkeypatch):
     plans.append((rng.random((600, 2)), BaggingPlan(b=30, s=30, k_d=1, seed=3)))
     for pts, plan in plans:
         counted.clear()
-        got = bagging._bagged_rank_table(bagging._pairwise_order(pts), plan)
+        got = bagging._bagged_rank_table(knn_table(pts), plan)
         assert np.array_equal(got, partition_rank_table(pts, plan)), plan
     # the last plan re-counted some pairs past the first window
     assert any(start > 0 and size > 0 for start, size in counted), counted
@@ -278,11 +292,11 @@ def test_windowed_rounds_memory_bounded():
     from bdmbc import bagging
 
     pts = _rng(6, 22).random((2048, 2))
-    pairwise = bagging._pairwise_order(pts)
+    table = knn_table(pts)
     plan = BaggingPlan(b=200, s=20, k_d=5, seed=0)
     tracemalloc.start()
     try:
-        bagging._bagged_rank_table(pairwise, plan)
+        bagging._bagged_rank_table(table, plan)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -291,9 +305,10 @@ def test_windowed_rounds_memory_bounded():
 
 @pytest.mark.parametrize("d", [1, 2, 5, 60])
 def test_pairwise_order_is_the_knn_table(d):
-    # at d=60 the distances are computed in two row blocks
-    from bdmbc import bagging
-
+    # the k-NN table's leading columns are the (distance, index) order of
+    # all pairs, bit for bit; k = n - 1 takes a window of every location
+    # without the tree (in several blocks at d=60), as does every k on the
+    # identical set and, at d <= 2, on the quantized one
     rng = _rng(d, 23)
     sets = {
         "continuous": rng.random((300, d)),
@@ -302,8 +317,7 @@ def test_pairwise_order_is_the_knn_table(d):
     }
     for name, pts in sets.items():
         n = len(pts)
-        sorted_dist, order = bagging._pairwise_order(pts)
-        assert np.array_equal(order[:, -1], np.arange(n)), name
+        order, sorted_dist = pairwise_order(pts)
         for k in (1, 7, n // 2, n - 1):
             nbr, dist = SpatialIndex(pts).query_bulk(pts, k, exclude=np.arange(n))
             assert np.array_equal(order[:, :k], nbr), (name, k)

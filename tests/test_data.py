@@ -10,6 +10,8 @@ import math
 import numpy as np
 import pytest
 
+from bdmbc.bagging import BaggingPlan, bagged_k_distance, infinite_bagged_k_distance
+from bdmbc.cluster import BdmbcConfig, bdmbc_fit
 from bdmbc.data import (
     DataError,
     Dataset,
@@ -49,6 +51,22 @@ def test_dataset_validation():
         Dataset(np.zeros((3, 2)), labels=[0, 1])  # wrong length
     with pytest.raises(DataError):
         Dataset(np.zeros((2, 2)), labels=[-1, 0])
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+@pytest.mark.parametrize("entry", [
+    lambda pts: bdmbc_fit(pts[:300], BdmbcConfig(k_d=5, k_l=20, b=2, rho=0.5, k_g=5)),
+    lambda pts: bagged_k_distance(pts[:300], BaggingPlan(b=2, s=150, k_d=5)),
+    lambda pts: bagged_k_distance(pts, BaggingPlan(b=2, s=100, k_d=5)),  # brute rounds
+    lambda pts: infinite_bagged_k_distance(pts[:300], 150, 5),
+], ids=["fit", "rank-table", "brute-rounds", "infinite"])
+def test_array_entry_points_reject_non_finite(entry, bad):
+    # an array passes the Dataset checks; one bad value used to give values
+    # (or, through the brute rounds' centring mean, NaN everywhere)
+    pts = gen_multiblobs(3000, 2, 3, seed=1).points
+    pts[7, 1] = bad
+    with pytest.raises(DataError, match="NaN or Inf"):
+        entry(pts)
 
 
 def test_gaussian_mixture_validation():

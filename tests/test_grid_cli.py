@@ -4,7 +4,6 @@ import csv
 import json
 import os
 
-import numpy as np
 import pytest
 
 from bdmbc.cli import main
@@ -168,44 +167,6 @@ def test_grid_thread_invariance(blob_csv, monkeypatch):
     monkeypatch.setenv("BDMBC_THREADS", "8")
     rows_8 = grid_search(ds, grid, seed=0)
     assert rows_1 == rows_8
-
-
-def test_grid_table_from_pairwise_order_equals_query(monkeypatch):
-    # below _RANK_TABLE_MAX_N the table is sliced from the bagging rounds'
-    # pairwise order, else queried; a 0.25 grid makes ties, and rho=1 adds
-    # cells at s == n, whose k-distances are then columns of the one query
-    import bdmbc.cluster
-    from bdmbc.knn import SpatialIndex
-
-    blobs = gen_multiblobs(300, 2, 3, seed=4)
-    ds = Dataset(np.round(blobs.points / 0.25) * 0.25, blobs.labels)
-    grid = {"b": [3], "rho": [0.4, 1.0], "kd": [4, 9], "kl": [25],
-            "kg": [4, 12], "lambda": [0.3, 0.6]}
-    built = []
-    rounds_order = bdmbc.cluster._rounds_order
-
-    def record(points, sizes):
-        pairwise = rounds_order(points, sizes)
-        built.append(pairwise is not None)
-        return pairwise
-
-    monkeypatch.setattr(bdmbc.cluster, "_rounds_order", record)
-    sliced = grid_search(ds, grid, seed=1)
-    full_queries = []
-    query_bulk = SpatialIndex.query_bulk
-
-    def record_query(self, queries, k, exclude=None):
-        if len(queries) == ds.n:
-            full_queries.append(k)
-        return query_bulk(self, queries, k, exclude=exclude)
-
-    monkeypatch.setattr(SpatialIndex, "query_bulk", record_query)
-    monkeypatch.setattr(bdmbc.cluster, "_rounds_order", lambda points, sizes: None)
-    queried = grid_search(ds, grid, seed=1)
-    assert built == [True]
-    assert full_queries == [25]  # kl=25 is wider than either kd
-    assert len(sliced) == 16
-    assert sliced == queried
 
 
 def test_worker_count(monkeypatch):

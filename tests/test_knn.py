@@ -291,11 +291,91 @@ def test_non_finite_input_raises(bad):
     idx = SpatialIndex(np.zeros((6, 2)))
     with pytest.raises(ValueError):
         idx.query_bulk(pts, 2, exclude=np.arange(6))
+    # k = n - 1 over six locations: a window of all of them skips the tree,
+    # which would otherwise reject the row
+    idx = SpatialIndex(np.arange(12.0).reshape(6, 2))
+    with pytest.raises(ValueError):
+        idx.query_bulk(pts, 5, exclude=np.arange(6))
+
+
+def oracle_table(points, queries, k, exclude):
+    """Oracle: each query row's k nearest points by (distance, index), with
+    distances formed as the index forms them, its excluded index (if in
+    range) left out."""
+    diff = points[None, :, :] - queries[:, None, :]
+    dist = np.sqrt(np.einsum("ijk,ijk->ij", diff, diff))
+    if exclude is not None:
+        rows = np.flatnonzero((exclude >= 0) & (exclude < len(points)))
+        dist[rows, exclude[rows]] = np.inf
+    order = np.lexsort((np.broadcast_to(np.arange(len(points)), dist.shape), dist))[:, :k]
+    return order, np.take_along_axis(dist, order, axis=1)
+
+
+def hostile_set(rng, kind, n, d):
+    if kind == "duplicates":
+        return rng.random((max(n // 4, 1), d))[rng.integers(max(n // 4, 1), size=n)]
+    if kind == "signed-zero":
+        return rng.choice(np.array([-0.0, 0.0, 0.5, 1.0]), size=(n, d))
+    if kind == "lattice":
+        return np.round(rng.random((n, d)) * 4) / 4
+    if kind == "offset":
+        return 1e7 + np.round(rng.random((n, d)) * 8) / 4
+    return rng.random((n, d))
+
+
+def test_query_fuzz_against_brute_force(monkeypatch):
+    # seeded hostile sets, k from 1 to the largest allowed: every list and
+    # every distance bit for bit equal to the (distance, index) oracle,
+    # through tree windows (first and widened) and windows of every location
+    rng = _rng(14, 113)
+    windows = record_windows(monkeypatch)
+    full = []
+    for case in range(150):
+        kind = ("continuous", "duplicates", "signed-zero", "lattice", "offset")[case % 5]
+        n = int(rng.integers(2, 90))
+        d = int(rng.integers(1, 5))
+        pts = hostile_set(rng, kind, n, d)
+        idx = SpatialIndex(pts)
+        off = hostile_set(rng, kind, int(rng.integers(1, 40)), d)
+        for queries, exclude in ((pts, np.arange(n)), (pts, None), (off, None),
+                                 (off, rng.integers(-1, n + 1, len(off)))):
+            limit = n - (exclude is not None)
+            if limit < 1:
+                continue
+            for k in {1, limit, *rng.integers(1, limit + 1, 3).tolist()}:
+                windows.clear()
+                got = idx.query_bulk(queries, k, exclude=exclude)
+                want = oracle_table(pts, queries, k, exclude)
+                label = (case, kind, n, d, k, exclude is not None)
+                assert np.array_equal(got[0], want[0]), label
+                assert np.array_equal(got[1].view(np.uint64), want[1].view(np.uint64)), label
+                full += [kq == idx._lowest.size for _, kq, _ in windows]
+    assert any(full) and not all(full)
+
+
+def test_full_window_skips_the_tree():
+    # k = n - 1 needs every location: the window, here in several blocks,
+    # takes them all without walking the index's tree
+    pts = _rng(15, 114).random((600, 1))
+    n = len(pts)
+    idx = SpatialIndex(pts)
+
+    class NoWalk:
+        indices = idx._tree.indices  # the leaf order of the blocks
+
+        def query(self, *args, **kwargs):
+            raise AssertionError("the tree was walked")
+
+    idx._tree = NoWalk()
+    got = idx.query_bulk(idx.points, n - 1, exclude=np.arange(n))
+    want = oracle_table(pts, pts, n - 1, np.arange(n))
+    assert np.array_equal(got[0], want[0])
+    assert np.array_equal(got[1].view(np.uint64), want[1].view(np.uint64))
 
 
 def record_windows(monkeypatch):
-    """Log (list length, window width in locations, thread) of every tree
-    query, first windows and retries."""
+    """Log (list length, window width in locations, thread) of every
+    window, first windows and retries."""
     query_window = SpatialIndex._query_window
     windows = []
 
@@ -488,6 +568,31 @@ def test_high_dimensional_blocks_in_bounded_memory():
         assert np.array_equal(nbr[i], expected)
         assert np.allclose(dist[i], expected_dist, rtol=1e-12)
     assert peak < 64 * 2**20, f"peak {peak / 2**20:.0f} MiB"
+
+
+@pytest.mark.parametrize("quantized", [False, True])
+def test_wide_windows_in_bounded_memory(quantized, monkeypatch):
+    # k = n - 1 of 2000 1-D points: blocks of 1024 rows of the whole window
+    # held 156 MiB beside the output, and 1024 rows of 2000-entry lists
+    # written at once held 69 MiB on 201 locations
+    monkeypatch.setenv("BDMBC_THREADS", "2")
+    pts = _rng(3, 115).random((2000, 1))
+    if quantized:
+        pts = np.round(pts * 200) / 200
+    n = len(pts)
+    idx = SpatialIndex(pts)
+    tracemalloc.start()
+    try:
+        nbr, dist = idx.query_bulk(idx.points, n - 1, exclude=np.arange(n))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    for i in (0, 777, n - 1):
+        oi, od = brute_knn(pts, pts[i], n - 1, exclude_index=i)
+        assert np.array_equal(nbr[i], oi), i
+        assert np.array_equal(dist[i], od), i
+    extra = peak - nbr.nbytes - dist.nbytes
+    assert extra < 40 * 2**20, f"{extra / 2**20:.0f} MiB beside the output"
 
 
 def test_exact_distances_hold_one_difference_array():
