@@ -49,3 +49,15 @@ def finalize_by_tree(points, provisional, core_mask, min_cluster_size):
     rank = np.empty(num, dtype=np.int64)
     rank[order] = np.arange(num)
     return rank[labels], core_mask, num
+
+
+def pairwise_order(points):
+    """Oracle: (order, sorted_dist), both (n, n).  order[i] lists the points
+    by (distance to point i, index), with i itself parked last at distance
+    inf; sorted_dist[i] holds those distances."""
+    n = points.shape[0]
+    diff = points[:, None, :] - points[None, :, :]
+    dist = np.sqrt(np.einsum("ijk,ijk->ij", diff, diff))
+    np.fill_diagonal(dist, np.inf)
+    order = np.lexsort((np.broadcast_to(np.arange(n), (n, n)), dist))
+    return order, np.take_along_axis(dist, order, axis=1)

@@ -22,6 +22,7 @@ from bdmbc.bagging import (
 )
 from bdmbc.data import Dataset, _rng, gen_multiblobs
 from bdmbc.knn import SpatialIndex, k_distances
+from oracles import pairwise_order
 
 
 def exact_weights(n, s, k):
@@ -204,18 +205,6 @@ def knn_table(points):
     """The self-excluded (n - 1)-NN table that the rank-table rounds read."""
     n = len(points)
     return SpatialIndex(points).query_bulk(points, n - 1, exclude=np.arange(n))
-
-
-def pairwise_order(points):
-    """Oracle: (order, sorted_dist), both (n, n).  order[i] lists the points
-    by (distance to point i, index), with i itself parked last at distance
-    inf; sorted_dist[i] holds those distances."""
-    n = points.shape[0]
-    diff = points[:, None, :] - points[None, :, :]
-    dist = np.sqrt(np.einsum("ijk,ijk->ij", diff, diff))
-    np.fill_diagonal(dist, np.inf)
-    order = np.lexsort((np.broadcast_to(np.arange(n), (n, n)), dist))
-    return order, np.take_along_axis(dist, order, axis=1)
 
 
 def partition_rank_table(points, plan):

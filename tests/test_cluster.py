@@ -19,7 +19,6 @@ from bdmbc.cluster import (
     finalize,
 )
 from bdmbc.data import Dataset, _rng, gen_multiblobs
-from bdmbc.grid import grid_search
 from bdmbc.knn import SpatialIndex
 from bdmbc.plls import empirical_plls, mode_set
 from oracles import dmbc_plls, finalize_by_tree
@@ -294,11 +293,11 @@ def test_fit_result_contract():
                                 "components", "finalize"}
 
 
-def test_fit_and_grid_build_one_index_and_run_one_query(monkeypatch):
+def test_fit_builds_an_index_only_when_it_queries_one(monkeypatch):
     # whichever way bagging runs (rank table at n <= 2048 with s < n, plain
     # k-distance at s == n, brute-force or tree rounds above 2048 points),
-    # a fit or a grid indexes its n points once and queries them once; tree
-    # rounds index only their subsamples
+    # a fit indexes its n points once, queries them once and times that as
+    # "index"; tree rounds index only their subsamples
     built, queried = [], []
     init, query_bulk = SpatialIndex.__init__, SpatialIndex.query_bulk
 
@@ -314,23 +313,19 @@ def test_fit_and_grid_build_one_index_and_run_one_query(monkeypatch):
     monkeypatch.setattr(SpatialIndex, "query_bulk", record_query)
     small = gen_multiblobs(400, 2, 3, seed=5)
     large = gen_multiblobs(2100, 2, 3, seed=5)
-    # a 0.25 grid makes ties; rho=1 adds cells at s == n
-    quantized = Dataset(np.round(small.points / 0.25) * 0.25, small.labels)
-    grid = {"b": [3], "rho": [0.4, 1.0], "kd": [4, 9], "kl": [25],
-            "kg": [4, 12], "lambda": [0.3, 0.6]}
     runs = [
-        (small, lambda ds: bdmbc_fit(ds, BdmbcConfig(k_d=10, k_l=40, b=5, rho=0.5, k_g=10))),
-        (small, lambda ds: bdmbc_fit(ds, BdmbcConfig(k_d=10, k_l=40, b=1, rho=1.0, k_g=10))),
-        (large, lambda ds: bdmbc_fit(ds, BdmbcConfig(k_d=5, k_l=20, b=2, rho=0.1, k_g=10))),
-        (large, lambda ds: bdmbc_fit(ds, BdmbcConfig(k_d=5, k_l=20, b=2, s=1100, k_g=10))),
-        (quantized, lambda ds: grid_search(ds, grid, seed=1)),
+        (small, BdmbcConfig(k_d=10, k_l=40, b=5, rho=0.5, k_g=10)),
+        (small, BdmbcConfig(k_d=10, k_l=40, b=1, rho=1.0, k_g=10)),
+        (large, BdmbcConfig(k_d=5, k_l=20, b=2, rho=0.1, k_g=10)),
+        (large, BdmbcConfig(k_d=5, k_l=20, b=2, s=1100, k_g=10)),
     ]
-    for ds, run in runs:
+    for ds, cfg in runs:
         built.clear()
         queried.clear()
-        run(ds)
+        res = bdmbc_fit(ds, cfg)
         assert built.count(ds.n) == 1, built
         assert [q for q in queried if q[0] == ds.n] == [(ds.n, ds.n)], queried
+        assert "index" in res.timings
 
 
 def test_fit_deterministic():

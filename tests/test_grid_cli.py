@@ -4,6 +4,7 @@ import csv
 import json
 import os
 
+import numpy as np
 import pytest
 
 from bdmbc.cli import main
@@ -167,6 +168,49 @@ def test_grid_thread_invariance(blob_csv, monkeypatch):
     monkeypatch.setenv("BDMBC_THREADS", "8")
     rows_8 = grid_search(ds, grid, seed=0)
     assert rows_1 == rows_8
+
+
+def test_grid_table_from_pairwise_order_equals_query(monkeypatch):
+    # the grid indexes its n points once and queries them once, n - 1 wide
+    # for the rank table; a table sliced from the brute-force pairwise order
+    # gives the same rows.  A 0.25 grid makes ties, and rho=1 adds cells at
+    # s == n, whose k-distances are then columns of the one query
+    from bdmbc.knn import SpatialIndex
+    from oracles import pairwise_order
+
+    blobs = gen_multiblobs(300, 2, 3, seed=4)
+    ds = Dataset(np.round(blobs.points / 0.25) * 0.25, blobs.labels)
+    grid = {"b": [3], "rho": [0.4, 1.0], "kd": [4, 9], "kl": [25],
+            "kg": [4, 12], "lambda": [0.3, 0.6]}
+    built, full_queries = [], []
+    init, query_bulk = SpatialIndex.__init__, SpatialIndex.query_bulk
+
+    def record_init(self, points):
+        init(self, points)
+        built.append(self.n)
+
+    def record_query(self, queries, k, exclude=None):
+        if self.n == ds.n:
+            full_queries.append((len(queries), k))
+        return query_bulk(self, queries, k, exclude=exclude)
+
+    monkeypatch.setattr(SpatialIndex, "__init__", record_init)
+    monkeypatch.setattr(SpatialIndex, "query_bulk", record_query)
+    queried = grid_search(ds, grid, seed=1)
+    assert built.count(ds.n) == 1, built
+    assert full_queries == [(ds.n, ds.n - 1)]
+
+    order, sorted_dist = pairwise_order(ds.points)
+
+    def sliced_query(self, queries, k, exclude=None):
+        if self.n == ds.n:
+            return order[:, :k], sorted_dist[:, :k]
+        return query_bulk(self, queries, k, exclude=exclude)
+
+    monkeypatch.setattr(SpatialIndex, "query_bulk", sliced_query)
+    sliced = grid_search(ds, grid, seed=1)
+    assert len(sliced) == 16
+    assert sliced == queried
 
 
 def test_worker_count(monkeypatch):
