@@ -3,9 +3,12 @@
 Pipeline: k_G-NN graph over all points, node-induced subgraph on
 scores >= lambda, weakly connected components (the components of the
 union-symmetrized graph), dissolution of undersized components, then each
-remaining point joins its nearest surviving core point: the first core
-point along its row of the shared neighbor table, or, for a row holding
-none, the answer of a 1-NN query against the core points.
+remaining point joins its nearest surviving core point.  That is the
+first point along its row of the shared neighbor table that scores >=
+lambda (first_scoring, built once per score vector for every lambda), if
+it survived dissolution; else the first surviving core point along the
+row; for a row holding none, the answer of a 1-NN query against the core
+points.
 Everything is deterministic for a fixed seed; component IDs follow each
 component's smallest member index and final labels are ordered by
 descending cluster size.
@@ -166,20 +169,40 @@ def connected_components(mask, edges):
     return labels
 
 
-# Non-core rows of the neighbor table that finalize scans at a time:
-# gathering every row at once adds to the fit's peak memory.
+# Rows of the neighbor table that first_scoring and finalize scan at a
+# time: gathering every row at once adds to the fit's peak memory.
 _FINALIZE_ROWS = 1024
 
 
-def finalize(ds, provisional, core_mask, min_cluster_size, nbr):
+def first_scoring(scores, nbr, lams):
+    """(n, len(lams)) int64: for each row of the neighbor table nbr and each
+    lambda, the first neighbor along the row that scores >= lambda, or -1."""
+    n = nbr.shape[0]
+    first = np.full((n, len(lams)), -1, dtype=np.int64)
+    for lo in range(0, n, _FINALIZE_ROWS):
+        rows = nbr[lo : lo + _FINALIZE_ROWS]
+        row_scores = scores[rows]
+        at = np.arange(len(rows))
+        for j, lam in enumerate(lams):
+            hit = row_scores >= lam
+            pos = np.argmax(hit, axis=1)
+            first[lo : lo + len(rows), j] = np.where(hit[at, pos], rows[at, pos], -1)
+    return first
+
+
+def finalize(ds, provisional, core_mask, min_cluster_size, nbr, first):
     """Dissolve undersized components and give each non-core point the
     label of its nearest surviving core point.
 
     nbr is an exact self-excluded neighbor table of the points, any width,
-    ordered by (distance, index).  A non-core point's nearest core point is
-    the first core point along its row; only rows holding none are queried
-    against an index over the core points, which numbers them in ascending
-    index order and so breaks ties the same way.
+    ordered by (distance, index), and first is each row's first neighbor
+    along it inside core_mask (before dissolution), or -1: a column of
+    first_scoring when core_mask is scores >= lambda.  A non-core point's
+    nearest core point is its first one if that survived dissolution; a
+    row whose first one was dissolved is scanned for its first surviving
+    core point; only rows left without one are queried against an index
+    over the core points, which numbers them in ascending index order and
+    so breaks ties the same way.
     Returns (labels, final_core_mask, num_clusters) with labels reordered
     by descending cluster size (ties by smallest member index).
     """
@@ -199,12 +222,15 @@ def finalize(ds, provisional, core_mask, min_cluster_size, nbr):
     ids = np.unique(labels[core])
     labels[core] = np.searchsorted(ids, labels[core])
     non_core = np.flatnonzero(~core_mask)
-    nearest = np.empty(non_core.size, dtype=np.int64)
-    for lo in range(0, non_core.size, _FINALIZE_ROWS):
-        rows = nbr[non_core[lo : lo + _FINALIZE_ROWS]]
+    nearest = np.asarray(first)[non_core]
+    rescan = np.flatnonzero(nearest >= 0)
+    rescan = rescan[~core_mask[nearest[rescan]]]
+    for lo in range(0, rescan.size, _FINALIZE_ROWS):
+        at = rescan[lo : lo + _FINALIZE_ROWS]
+        rows = nbr[non_core[at]]
         hit = core_mask[rows]
-        first = np.arange(len(rows)), np.argmax(hit, axis=1)
-        nearest[lo : lo + len(rows)] = np.where(hit[first], rows[first], -1)
+        pos = np.arange(len(rows)), np.argmax(hit, axis=1)
+        nearest[at] = np.where(hit[pos], rows[pos], -1)
     missing = np.flatnonzero(nearest < 0)
     if missing.size:
         found, _ = SpatialIndex(points[core]).query_bulk(points[non_core[missing]], 1)
@@ -247,19 +273,20 @@ def _bagged_and_table(points, plans, width, timings):
     return bagged, table[0][:, :width]
 
 
-def _threshold(points, nbr, edges, scores, config, timings):
+def _threshold(points, nbr, first, edges, scores, config, timings):
     """finalize's (labels, final_core_mask, num_clusters) at config.lam: the
     threshold stage of a fit and of every grid cell, on the neighbor table
-    nbr that the edges were sliced from.  timings gets "components" (core
-    subgraph and its components) and "finalize"."""
+    nbr that the edges were sliced from; first is nbr's first_scoring
+    column at config.lam.  timings gets "components" (core subgraph and
+    its components) and adds to "finalize"."""
     t0 = time.perf_counter()
     mask, core_edges = core_subgraph(edges, scores, config.lam)
     provisional = connected_components(mask, core_edges)
     timings["components"] = time.perf_counter() - t0
 
     t0 = time.perf_counter()
-    out = finalize(points, provisional, mask, config.effective_min_cluster_size(), nbr)
-    timings["finalize"] = time.perf_counter() - t0
+    out = finalize(points, provisional, mask, config.effective_min_cluster_size(), nbr, first)
+    timings["finalize"] = timings.get("finalize", 0.0) + time.perf_counter() - t0
     return out
 
 
@@ -267,7 +294,9 @@ def bdmbc_fit(ds, config):
     """Run the full pipeline on a dataset; deterministic for a fixed seed.
 
     One exact neighbor table (see _bagged_and_table) serves every stage:
-    PLLS reads its first k_l columns and the graph its first k_g.
+    PLLS reads its first k_l columns, the graph its first k_g, and
+    first_scoring and finalize all of it.  timings["finalize"] includes
+    first_scoring.
     """
     points = _points(ds)
     n = points.shape[0]
@@ -295,7 +324,10 @@ def bdmbc_fit(ds, config):
     edges = graph_from_neighbors(nbr[:, : config.k_g])
     timings["graph"] = time.perf_counter() - t0
 
-    labels, final_core, num = _threshold(points, nbr, edges, scores, config, timings)
+    t0 = time.perf_counter()
+    first = first_scoring(scores, nbr, [config.lam])[:, 0]
+    timings["finalize"] = time.perf_counter() - t0
+    labels, final_core, num = _threshold(points, nbr, first, edges, scores, config, timings)
     modes = mode_set(scores)
     modes = modes[final_core[modes]]  # modes in dissolved components drop out
     return ClusterResult(

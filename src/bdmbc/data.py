@@ -48,7 +48,18 @@ class Dataset:
             raise DataError("points contain NaN or Inf")
         object.__setattr__(self, "points", pts)
         if self.labels is not None:
-            lab = np.asarray(self.labels, dtype=np.int64)
+            lab = np.asarray(self.labels)
+            if lab.dtype.kind not in "biu":
+                # a cast to int64 would truncate 1.5 to 1 and NaN to garbage
+                try:
+                    values = lab.astype(np.float64)
+                except (TypeError, ValueError):
+                    raise DataError("labels must be integers") from None
+                if not np.all(np.isfinite(values)) or np.any(values != np.trunc(values)):
+                    raise DataError("labels must be integers: found a non-integral "
+                                    "or non-finite label")
+                lab = values
+            lab = lab.astype(np.int64)
             if lab.shape != (pts.shape[0],):
                 raise DataError("labels length must equal number of points")
             if np.any(lab < 0):

@@ -4,8 +4,11 @@ Every grid cell is one BdmbcConfig, run as a fit runs it.  One exact
 neighbor table, at least as wide as the largest k_l or k_g, serves every
 cell and every bagging pass, and cells with equal (b, s, kd) share one
 pass (see cluster._bagged_and_table).
-Scores are reused across (k_g, lambda) and graphs across every cell, so
-dense grids over the cheap parameters cost little more than a single fit.
+Each of the rest is built once and shared: one score vector per (plan,
+k_l), one first_scoring table per score vector over the grid's lambdas
+(each cell's finalize reads its column), and one graph per k_g.  So dense
+grids over the cheap parameters (k_g, lambda) cost little more than a
+single fit.
 """
 
 from __future__ import annotations
@@ -25,6 +28,7 @@ from .cluster import (  # noqa: F401
     connected_components,
     core_subgraph,
     finalize,
+    first_scoring,
     graph_from_neighbors,
 )
 from .knn import worker_count
@@ -36,8 +40,8 @@ GRID_COLUMNS = ("b", "rho", "kd", "kl", "kg", "lambda",
                 "ari", "nmi", "f1", "acc", "num_clusters")
 
 
-def _cell_report(points, nbr, edges, scores, config, true_labels):
-    labels, _, num = _threshold(points, nbr, edges, scores, config, {})
+def _cell_report(points, nbr, first, edges, scores, config, true_labels):
+    labels, _, num = _threshold(points, nbr, first, edges, scores, config, {})
     report = metric_report(true_labels, labels)
     report["num_clusters"] = num
     return report
@@ -95,7 +99,9 @@ def grid_search(ds, grid, metric="ari", seed=0, min_cluster_size=None):
     try:
         for (plan, kl), cells in by_scores.items():
             scores = plls_from_neighbors(bagged[plan], nbr[:, :kl])
-            futures = [(c, pool.submit(_cell_report, points, nbr, graphs[c.k_g],
+            first = first_scoring(scores, nbr, lams)
+            futures = [(c, pool.submit(_cell_report, points, nbr,
+                                       first[:, lams.index(c.lam)], graphs[c.k_g],
                                        scores, c, ds.labels))
                        for c in cells]
             rows += [{"b": c.b, "rho": c.rho, "kd": c.k_d, "kl": c.k_l, "kg": c.k_g,

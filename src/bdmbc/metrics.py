@@ -29,9 +29,7 @@ def contingency(true_labels, pred_labels):
     _, ti = np.unique(t, return_inverse=True)
     _, pi = np.unique(p, return_inverse=True)
     r, c = ti.max() + 1, pi.max() + 1
-    counts = np.zeros((r, c), dtype=np.int64)
-    np.add.at(counts, (ti, pi), 1)
-    return counts
+    return np.bincount(ti * c + pi, minlength=r * c).astype(np.int64, copy=False).reshape(r, c)
 
 
 def _comb2(x):
@@ -41,7 +39,10 @@ def _comb2(x):
 
 def ari(true_labels, pred_labels):
     """Pair-counting adjusted Rand index; 1.0 for two single-cluster partitions."""
-    counts = contingency(true_labels, pred_labels)
+    return _ari(contingency(true_labels, pred_labels))
+
+
+def _ari(counts):
     n = counts.sum()
     if n < 2:
         raise ValueError("ARI needs at least 2 points")
@@ -57,7 +58,10 @@ def ari(true_labels, pred_labels):
 
 def nmi(true_labels, pred_labels):
     """Mutual information normalized by the geometric mean of the entropies."""
-    counts = contingency(true_labels, pred_labels)
+    return _nmi(contingency(true_labels, pred_labels))
+
+
+def _nmi(counts):
     r, c = counts.shape
     if r == 1 and c == 1:
         return 1.0
@@ -133,8 +137,11 @@ def kuhn_munkres(cost):
 
 def matched_f1_accuracy(true_labels, pred_labels):
     """(macro-F1, accuracy) after optimally matching clusters to classes."""
-    counts = contingency(true_labels, pred_labels)
-    r, c = counts.shape
+    return _f1_accuracy(contingency(true_labels, pred_labels))
+
+
+def _f1_accuracy(counts):
+    r = counts.shape[0]
     assign = kuhn_munkres(-counts.astype(np.float64))
     matched = {cls: clu for cls, clu in assign.items()}
     correct = sum(counts[cls, clu] for cls, clu in matched.items())
@@ -154,11 +161,13 @@ def matched_f1_accuracy(true_labels, pred_labels):
 
 
 def metric_report(true_labels, pred_labels):
-    """All four measures as a dict in the standard row order."""
-    f1, acc = matched_f1_accuracy(true_labels, pred_labels)
+    """All four measures, from one contingency table, as a dict in the
+    standard row order."""
+    counts = contingency(true_labels, pred_labels)
+    f1, acc = _f1_accuracy(counts)
     return {
-        "ari": ari(true_labels, pred_labels),
-        "nmi": nmi(true_labels, pred_labels),
+        "ari": _ari(counts),
+        "nmi": _nmi(counts),
         "f1": f1,
         "acc": acc,
     }

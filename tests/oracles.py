@@ -18,6 +18,16 @@ def dmbc_plls(points, k_d, k_l):
     return (kdist[order[:, :k_l]] >= kdist[:, None]).sum(axis=1) / k_l
 
 
+def contingency_by_add_at(true_labels, pred_labels):
+    """(classes, clusters) int64 counts, one unbuffered np.add.at per point,
+    classes and clusters numbered in ascending label order."""
+    _, ti = np.unique(np.asarray(true_labels), return_inverse=True)
+    _, pi = np.unique(np.asarray(pred_labels), return_inverse=True)
+    counts = np.zeros((ti.max() + 1, pi.max() + 1), dtype=np.int64)
+    np.add.at(counts, (ti, pi), 1)
+    return counts
+
+
 def finalize_by_tree(points, provisional, core_mask, min_cluster_size):
     """finalize without a neighbor table: dissolve undersized components,
     then one 1-NN query of every non-core point against an index over the

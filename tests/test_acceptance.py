@@ -171,14 +171,15 @@ def test_05_degenerate_equivalence():
         idx = SpatialIndex(pts)
         scores = dmbc_plls(pts, kd, kl)
         from bdmbc.cluster import (build_kg_graph, connected_components,
-                                   core_subgraph, finalize)
+                                   core_subgraph, finalize, first_scoring)
 
         graph = build_kg_graph(idx, kg)
         mask, edges = core_subgraph(graph, scores, lam)
         prov = connected_components(mask, edges)
         nbr, _ = idx.query_bulk(pts, kg, exclude=np.arange(n))
         labels, core, num = finalize(pts, prov, mask,
-                                     cfg.effective_min_cluster_size(), nbr)
+                                     cfg.effective_min_cluster_size(), nbr,
+                                     first_scoring(scores, nbr, [lam])[:, 0])
         same = (np.array_equal(bagged_res.labels, labels)
                 and np.array_equal(bagged_res.plls, scores)
                 and np.array_equal(bagged_res.core_mask, core)

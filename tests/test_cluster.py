@@ -17,6 +17,7 @@ from bdmbc.cluster import (
     connected_components,
     core_subgraph,
     finalize,
+    first_scoring,
 )
 from bdmbc.data import Dataset, _rng, gen_multiblobs
 from bdmbc.knn import SpatialIndex
@@ -162,10 +163,34 @@ def table(points, width=None):
     return nbr
 
 
+def finalize_on(points, provisional, core_mask, min_cluster_size):
+    """finalize on the table of every other point, with each row's first
+    core point taken from core_mask as a 0/1 score vector at lambda 1."""
+    nbr = table(points)
+    first = first_scoring(np.asarray(core_mask, dtype=np.float64), nbr, [1.0])[:, 0]
+    return finalize(points, provisional, core_mask, min_cluster_size, nbr, first)
+
+
+def test_first_scoring_is_the_first_neighbor_at_or_above_lambda():
+    rng = _rng(5, 0)
+    scores = np.round(rng.random(300) * 8) / 8  # tied scores, lambdas on ties
+    nbr = rng.permuted(np.tile(np.arange(300), (300, 1)), axis=1)[:, :7]
+    lams = [0.0, 0.375, 0.5, 0.875, 1.0, 1.5]
+    first = first_scoring(scores, nbr, lams)
+    assert first.shape == (300, 6) and first.dtype == np.int64
+    for i in range(300):
+        for j, lam in enumerate(lams):
+            hits = [p for p in nbr[i] if scores[p] >= lam]
+            assert first[i, j] == (hits[0] if hits else -1), (i, lam)
+    assert np.array_equal(first[:, 0], nbr[:, 0])
+    assert np.all(first[:, 5] == -1)
+    assert np.any(first[:, 3] == -1) and np.any(first[:, 3] >= 0)
+
+
 def test_finalize_all_core_unchanged():
     pts = np.array([[0.0], [1.0], [10.0], [11.0]])
     provisional = np.array([0, 0, 1, 1])
-    labels, core, num = finalize(pts, provisional, np.ones(4, dtype=bool), 2, table(pts))
+    labels, core, num = finalize_on(pts, provisional, np.ones(4, dtype=bool), 2)
     assert num == 2
     assert np.array_equal(labels, [0, 0, 1, 1])
     assert np.all(core)
@@ -174,8 +199,7 @@ def test_finalize_all_core_unchanged():
 def test_finalize_tie_goes_to_lower_index_core():
     pts = np.array([[0.0], [2.0], [1.0]])  # point 2 equidistant from 0 and 1
     provisional = np.array([0, 1, -1])
-    labels, _, num = finalize(pts, provisional,
-                              np.array([True, True, False]), 1, table(pts))
+    labels, _, num = finalize_on(pts, provisional, np.array([True, True, False]), 1)
     assert num == 2
     assert labels[2] == labels[0]
 
@@ -184,7 +208,7 @@ def test_finalize_dissolves_small_component():
     # cores {0,1,2} clustered, singleton core 3 dissolved and reassigned
     pts = np.array([[0.0], [0.1], [0.2], [5.0]])
     provisional = np.array([0, 0, 0, 1])
-    labels, core, num = finalize(pts, provisional, np.ones(4, dtype=bool), 2, table(pts))
+    labels, core, num = finalize_on(pts, provisional, np.ones(4, dtype=bool), 2)
     assert num == 1
     assert np.array_equal(labels, [0, 0, 0, 0])
     assert not core[3]
@@ -192,8 +216,7 @@ def test_finalize_dissolves_small_component():
 
 def test_finalize_no_core_single_cluster():
     pts = np.arange(4.0)[:, None]
-    labels, core, num = finalize(pts, np.full(4, -1), np.zeros(4, dtype=bool), 2,
-                                 table(pts))
+    labels, core, num = finalize_on(pts, np.full(4, -1), np.zeros(4, dtype=bool), 2)
     assert num == 1
     assert np.array_equal(labels, np.zeros(4, dtype=np.int64))
 
@@ -202,33 +225,40 @@ def test_finalize_orders_labels_by_size():
     # big cluster second in index order must still get label 0
     pts = np.concatenate([np.zeros((2, 1)), np.full((5, 1), 10.0) + np.arange(5)[:, None] * 0.1])
     provisional = np.array([0, 0, 1, 1, 1, 1, 1])
-    labels, _, num = finalize(pts, provisional, np.ones(7, dtype=bool), 2, table(pts))
+    labels, _, num = finalize_on(pts, provisional, np.ones(7, dtype=bool), 2)
     assert num == 2
     assert np.array_equal(labels, [1, 1, 0, 0, 0, 0, 0])
 
 
 def finalize_cases():
-    """(name, points, provisional, core mask, min cluster size) on blobs,
-    0.25-quantized blobs (core points tied at equal distance), components
-    dissolved into non-core rows, and all-core and no-core sets."""
+    """(name, points, scores, cells) on blobs, 0.25-quantized blobs (core
+    points tied at equal distance), and all-core and no-core sets.  Each
+    cell is (lambda, provisional, core mask, min cluster size) on the one
+    score vector; the larger sizes dissolve components into non-core rows."""
     blobs = gen_multiblobs(1500, 2, 4, seed=11).points
     quantized = np.round(blobs / 0.25) * 0.25
-    for name, pts, lam, min_size in (("blobs", blobs, 0.5, 30),
-                                     ("quantized", quantized, 0.5, 30),
-                                     ("dissolved", blobs, 0.8, 60)):
-        mask, edges = core_subgraph(build_kg_graph(SpatialIndex(pts), 10),
-                                    dmbc_plls(pts, 10, 40), lam)
-        yield name, pts, connected_components(mask, edges), mask, min_size
+    for name, pts in (("blobs", blobs), ("quantized", quantized)):
+        scores = dmbc_plls(pts, 10, 40)
+        graph = build_kg_graph(SpatialIndex(pts), 10)
+        cells = []
+        for lam in (0.3, 0.5, 0.8):
+            mask, edges = core_subgraph(graph, scores, lam)
+            provisional = connected_components(mask, edges)
+            cells += [(lam, provisional, mask, min_size) for min_size in (30, 60)]
+        yield name, pts, scores, cells
     n = len(blobs)
-    yield "all-core", blobs, np.repeat(np.arange(4), n // 4 + 1)[:n], np.ones(n, dtype=bool), 1
-    yield "no-core", blobs, np.full(n, -1), np.zeros(n, dtype=bool), 1
+    yield "all-core", blobs, np.ones(n), [
+        (0.5, np.repeat(np.arange(4), n // 4 + 1)[:n], np.ones(n, dtype=bool), 1)]
+    yield "no-core", blobs, np.zeros(n), [
+        (0.5, np.full(n, -1), np.zeros(n, dtype=bool), 1)]
 
 
 @pytest.mark.parametrize("width", [1, 15, 100])
 def test_finalize_reads_table_like_the_tree_oracle(width, monkeypatch):
-    # a non-core row takes the first core point along its table row; rows
-    # with none in the table (all of them at some width-1 rows) fall back to
-    # a core index, which is built only then
+    # a non-core row takes its first point scoring >= lambda if that point
+    # survived dissolution, rescans its table row if it was dissolved, and
+    # falls back to a core index if the row holds no surviving core point;
+    # the index is built only then
     built = []
     init = SpatialIndex.__init__
 
@@ -236,24 +266,38 @@ def test_finalize_reads_table_like_the_tree_oracle(width, monkeypatch):
         built.append(len(points))
         init(self, points)
 
-    dissolved = fallbacks = 0
-    for name, pts, provisional, mask, min_size in finalize_cases():
+    direct = rescanned = rescan_found = fallbacks = 0
+    for name, pts, scores, cells in finalize_cases():
         nbr = table(pts, width)
-        expected = finalize_by_tree(pts, provisional, mask, min_size)
-        monkeypatch.setattr(SpatialIndex, "__init__", record)
-        built.clear()
-        got = finalize(pts, provisional, mask, min_size, nbr)
-        monkeypatch.undo()
-        assert np.array_equal(got[0], expected[0]), (name, width)
-        assert np.array_equal(got[1], expected[1]), (name, width)
-        assert got[2] == expected[2], (name, width)
-        core = expected[1]
-        uncovered = np.any(~core) and not np.all(core[nbr[~core]].any(axis=1))
-        assert len(built) == int(bool(np.any(core)) and uncovered), (name, width)
-        fallbacks += uncovered
-        dissolved += np.count_nonzero(mask & ~core)
-    assert dissolved > 0
+        lams = [lam for lam, *_ in cells]
+        first = first_scoring(scores, nbr, lams)
+        for lam, provisional, mask, min_size in cells:
+            col = first[:, lams.index(lam)]
+            expected = finalize_by_tree(pts, provisional, mask, min_size)
+            monkeypatch.setattr(SpatialIndex, "__init__", record)
+            built.clear()
+            got = finalize(pts, provisional, mask, min_size, nbr, col)
+            monkeypatch.undo()
+            case = (name, width, lam, min_size)
+            assert np.array_equal(got[0], expected[0]), case
+            assert np.array_equal(got[1], expected[1]), case
+            assert got[2] == expected[2], case
+            core = expected[1]
+            rows = np.flatnonzero(~core)
+            covered = core[nbr[rows]].any(axis=1)
+            hit = col[rows] >= 0
+            survived = hit & core[np.where(hit, col[rows], 0)]
+            assert len(built) == int(bool(np.any(core)) and not covered.all()), case
+            direct += np.count_nonzero(survived)
+            rescanned += np.count_nonzero(hit & ~survived)
+            rescan_found += np.count_nonzero(hit & ~survived & covered)
+            fallbacks += np.count_nonzero(~covered) * bool(np.any(core))
+    assert direct > 0
+    assert rescanned > 0
+    assert rescan_found > 0 or width == 1  # one column: a rescan finds nothing
     assert fallbacks > 0
+
+
 # --------------------------------------------------------------- bdmbc_fit
 
 
@@ -385,7 +429,8 @@ def test_fit_equals_public_stage_composition(quantized, bagged):
     mask, edges = core_subgraph(build_kg_graph(idx, cfg.k_g), scores, cfg.lam)
     nbr, _ = idx.query_bulk(pts, cfg.k_g, exclude=np.arange(600))
     labels, core, num = finalize(pts, connected_components(mask, edges), mask,
-                                 cfg.effective_min_cluster_size(), nbr)
+                                 cfg.effective_min_cluster_size(), nbr,
+                                 first_scoring(scores, nbr, [cfg.lam])[:, 0])
     modes = mode_set(scores)
     assert np.array_equal(res.plls, scores)
     assert np.array_equal(res.labels, labels)

@@ -53,6 +53,20 @@ def test_dataset_validation():
         Dataset(np.zeros((2, 2)), labels=[-1, 0])
 
 
+@pytest.mark.parametrize("labels", [[0.2, 0.9, 1.5, 1.99], [0, 1, 2, np.nan],
+                                    [0, 1, np.inf, 2], [0, 1, 2, 2.5]])
+def test_dataset_rejects_non_integral_labels(labels):
+    # a cast to int64 used to store [0.2, 0.9, 1.5, 1.99] as [0, 0, 1, 1]
+    with pytest.raises(DataError, match="labels must be integers"):
+        Dataset(np.zeros((4, 1)), labels=labels)
+
+
+def test_dataset_keeps_integral_labels():
+    for labels in ([0.0, 1.0, 3.0, 1.0], np.array([0, 1, 3, 1], dtype=np.uint8), [0, 1, 3, 1]):
+        lab = Dataset(np.zeros((4, 1)), labels=labels).labels
+        assert lab.dtype == np.int64 and np.array_equal(lab, [0, 1, 3, 1])
+
+
 @pytest.mark.parametrize("bad", [np.nan, np.inf])
 @pytest.mark.parametrize("entry", [
     lambda pts: bdmbc_fit(pts[:300], BdmbcConfig(k_d=5, k_l=20, b=2, rho=0.5, k_g=5)),

@@ -9,7 +9,7 @@ import pytest
 
 from bdmbc.cli import main
 from bdmbc.data import Dataset, gen_multiblobs
-from bdmbc.grid import GRID_COLUMNS, grid_search, worker_count
+from bdmbc.grid import GRID_COLUMNS, METRICS, grid_search, worker_count
 from bdmbc.metrics import metric_report
 from bdmbc.cluster import BdmbcConfig, bdmbc_fit
 
@@ -57,6 +57,27 @@ def test_grid_best_row_matches_single_fit(blob_csv):
     for key, value in rep.items():
         assert best[key] == pytest.approx(value, abs=1e-12)
     assert best["num_clusters"] == res.num_clusters
+
+
+def test_every_grid_row_equals_its_own_fit():
+    # 0.25-quantized blobs (tied distances and scores), a rank-table plan
+    # (s < n <= 2048) and an s == n plan, and a minimum size that dissolves
+    # components: every row is its cell's fit, scored by metric_report
+    blobs = gen_multiblobs(300, 2, 3, seed=4)
+    ds = Dataset(np.round(blobs.points / 0.25) * 0.25, blobs.labels)
+    grid = {"b": [2], "rho": [0.5, 1.0], "kd": [5], "kl": [30],
+            "kg": [5, 10], "lambda": [0.3, 0.5, 0.8]}
+    rows = grid_search(ds, grid, seed=0, min_cluster_size=10)
+    assert len(rows) == 12
+    dissolved = 0
+    for row in rows:
+        cfg = BdmbcConfig(k_d=row["kd"], k_l=row["kl"], b=row["b"], rho=row["rho"],
+                          k_g=row["kg"], lam=row["lambda"], min_cluster_size=10, seed=0)
+        res = bdmbc_fit(ds, cfg)
+        expected = {**metric_report(ds.labels, res.labels), "num_clusters": res.num_clusters}
+        assert {key: row[key] for key in (*METRICS, "num_clusters")} == expected, row
+        dissolved += np.count_nonzero((res.plls >= cfg.lam) & ~res.core_mask)
+    assert dissolved > 0
 
 
 def test_grid_skips_invalid_cells(blob_csv):

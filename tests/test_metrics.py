@@ -18,6 +18,7 @@ from bdmbc.metrics import (
     metric_report,
     nmi,
 )
+from oracles import contingency_by_add_at
 
 
 def set_partitions(items):
@@ -290,3 +291,32 @@ def test_metric_report_keys():
     rep = metric_report([0, 0, 1, 1], [0, 0, 1, 1])
     assert list(rep) == ["ari", "nmi", "f1", "acc"]
     assert all(v == 1.0 for v in rep.values())
+
+
+def report_cases():
+    """Label pairs with non-contiguous ids, a single cluster, a single
+    class, and more clusters than classes."""
+    rng = np.random.default_rng(23)
+    ids = np.array([-4, 0, 3, 17, 250, 10**9])
+    for _ in range(40):
+        n = int(rng.integers(2, 80))
+        yield (rng.choice(ids[: rng.integers(1, 4)], n),
+               rng.choice(ids[: rng.integers(1, 7)], n))
+    yield [5, 5, 9, 9, 9, 2], [1, 1, 1, 1, 1, 1]  # one cluster
+    yield [3, 3, 3, 3], [0, 4, 4, 8]  # one class
+    yield [0, 0, 0, 2, 2, 2], [0, 1, 2, 3, 4, 5]  # more clusters than classes
+    yield [7, 7], [7, 7]
+
+
+def test_contingency_equals_add_at_oracle():
+    for t, p in report_cases():
+        got = contingency(t, p)
+        assert got.dtype == np.int64
+        assert np.array_equal(got, contingency_by_add_at(t, p))
+
+
+def test_metric_report_equals_single_measures_bit_for_bit():
+    for t, p in report_cases():
+        f1, acc = matched_f1_accuracy(t, p)
+        expected = {"ari": ari(t, p), "nmi": nmi(t, p), "f1": f1, "acc": acc}
+        assert metric_report(t, p) == expected, (t, p)
