@@ -2,30 +2,27 @@
 
 Each bagging round draws its subsample without replacement from an
 independent Philox stream keyed (seed, round), so rounds are reproducible
-and order-independent.  Rounds are averaged in fixed round order.
+and order-independent.  Every path adds its rounds one at a time in round
+order, so the rank table and the tree rounds agree bit for bit, at any
+thread count.
 """
 
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 
 from .data import _points, _rng
-from .knn import SpatialIndex, worker_count
+from .knn import SpatialIndex, ordered_map
 
 # Up to this size one exact self-excluded k-NN table of all n - 1 others
 # serves all bagging rounds; above it, per-round scans respect the
 # complexity budget.
 _RANK_TABLE_MAX_N = 2048
-# Rank-table rounds are summed in groups of _CHUNK_ELEMENTS // (n * s)
-# rounds (at most 4000): each group's total first, then the running total.
-# The grouping fixes the floating-point order of the average.
-_CHUNK_ELEMENTS = 5_000_000
-# (point, round) member counters advanced together, over whole summing
-# groups of rounds: few enough to stay cache-resident
+# (point, round) member counters advanced together: few enough to stay
+# cache-resident
 _ROUND_BLOCK = 1 << 18
 
 
@@ -81,16 +78,15 @@ def _bagged_rank_table(table, plan):
     position for every (point, round) pair at once, over a short window of
     about twice the expected position; pairs still short of k_d members then
     continue alone up to position k_d + n - s, by which k_d members have
-    passed, since only n - s points lie outside the subsample.
+    passed, since only n - s points lie outside the subsample.  Rounds are
+    counted in blocks of _ROUND_BLOCK // n and added in round order.
     """
     order, sorted_dist = table
     n = order.shape[0]
     k_d = plan.k_d
     full = min(n - 1, k_d + n - plan.s)
     short = min(full, 2 * -(-k_d * n // plan.s) + 16)
-    chunk = min(max(_CHUNK_ELEMENTS // (n * plan.s), 1), 4000)
-    block = chunk * max(_ROUND_BLOCK // (n * chunk), 1)
-    rows = np.arange(n)[:, None]
+    block = max(_ROUND_BLOCK // n, 1)
     total = np.zeros(n)
     for start in range(0, plan.b, block):
         stop = min(start + block, plan.b)
@@ -107,10 +103,8 @@ def _bagged_rank_table(table, plan):
             _count_members(lambda j: member[order[left, j], rounds],
                            range(short, full), left_count, left_pos, k_d)
             pos[left, rounds] = left_pos
-        kth = sorted_dist[rows, pos]
-        for lo in range(0, stop - start, chunk):
-            # cumsum adds rounds in order; sum's order would follow the layout
-            total += np.cumsum(kth[:, lo : lo + chunk], axis=1)[:, -1]
+        for kth in np.take_along_axis(sorted_dist, pos, axis=1).T:
+            total += kth
     return total / plan.b
 
 
@@ -170,10 +164,9 @@ def _round_tree(points, sub, k_d):
 def _bagged_per_round(points, plan):
     """One subsample scan per round; brute force when the subsample is small.
 
-    Brute-force rounds run worker_count() at a time on a thread pool, and at
-    most one wave of them is held at a time.  Tree rounds run on the calling
-    thread: their query has a pool of its own, and on a pool thread here the
-    quantized-ties fit took 2 MB more peak memory.  The total adds the
+    Brute-force rounds fan out through ordered_map.  Tree rounds run on the
+    calling thread: their query fans out its own blocks, and on a pool here
+    the quantized-ties fit peaked 1.3-2.0 MB higher.  The total adds the
     rounds in round order.
     """
     n = points.shape[0]
@@ -190,15 +183,8 @@ def _bagged_per_round(points, plan):
         return one_round(points, subsample(n, plan.s, _rng(plan.seed, b)), plan.k_d)
 
     total = np.zeros(n)
-    if brute:
-        workers = worker_count()
-        with ThreadPoolExecutor(workers) as pool:
-            for lo in range(0, plan.b, workers):
-                for values in pool.map(run, range(lo, min(lo + workers, plan.b))):
-                    total += values
-    else:
-        for b in range(plan.b):
-            total += run(b)
+    for values in ordered_map(run, range(plan.b), None if brute else 1):
+        total += values
     return total / plan.b
 
 

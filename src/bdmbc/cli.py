@@ -17,7 +17,7 @@ import numpy as np
 
 from . import __version__
 from .cluster import BdmbcConfig, bdmbc_fit
-from .data import DataError, Dataset, dataset_from_spec, load_csv, scale_minmax
+from .data import DataError, dataset_from_spec, load_csv, parse_label, scale_minmax
 from .grid import GRID_COLUMNS, grid_search
 from .metrics import metric_report
 
@@ -34,6 +34,8 @@ def _load_dataset(args):
 
 
 def _config_from_mapping(m):
+    if not isinstance(m, dict):
+        raise DataError(f"config must be a JSON object, got {m!r}")
     return BdmbcConfig(
         k_d=int(m["kd"]),
         k_l=int(m["kl"]),
@@ -100,6 +102,8 @@ def cmd_grid(args):
         raise DataError("grid search needs a labeled dataset (--label-column)")
     with open(args.grid) as fh:
         spec = json.load(fh)
+    if not isinstance(spec, dict):
+        raise DataError(f"{args.grid}: grid spec must be a JSON object")
     metric = spec.get("metric", "ari")
     rows = grid_search(ds, spec, metric=metric, seed=args.seed,
                        min_cluster_size=args.min_cluster_size)
@@ -154,16 +158,9 @@ def cmd_bench(args):
 
 
 def _read_label_file(path):
-    labels = []
     with open(path) as fh:
-        for lineno, line in enumerate(fh):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                labels.append(int(float(line)))
-            except ValueError:
-                raise DataError(f"{path} line {lineno}: bad label {line!r}") from None
+        labels = [parse_label(line.strip(), f"{path} line {lineno}")
+                  for lineno, line in enumerate(fh, 1) if line.strip()]
     if not labels:
         raise DataError(f"{path}: no labels")
     return np.array(labels, dtype=np.int64)

@@ -117,6 +117,23 @@ class GaussianMixture:
         return self.means.shape[1]
 
 
+def parse_label(text, where):
+    """The int64 label a text cell holds, else a DataError naming where."""
+    try:
+        value = int(text)
+    except ValueError:
+        try:
+            number = float(text)
+        except ValueError:
+            raise DataError(f"{where}: bad label {text!r}") from None
+        if not number.is_integer():  # nor for inf and nan
+            raise DataError(f"{where}: label {text!r} is not an integer")
+        value = int(number)
+    if not -(2**63) <= value < 2**63:
+        raise DataError(f"{where}: label {text!r} is out of range")
+    return value
+
+
 def load_csv(path, has_header=False, label_column=None):
     """Read a comma-delimited numeric file into a Dataset.
 
@@ -143,17 +160,7 @@ def load_csv(path, has_header=False, label_column=None):
         coords = []
         for cix, cell in enumerate(row):
             if cix == label_column:
-                try:
-                    lab = int(cell)
-                except ValueError:
-                    try:
-                        flab = float(cell)
-                    except ValueError:
-                        raise DataError(f"row {rix}, column {cix}: bad label {cell!r}") from None
-                    if flab != int(flab):
-                        raise DataError(f"row {rix}, column {cix}: label {cell!r} is not an integer")
-                    lab = int(flab)
-                labels.append(lab)
+                labels.append(parse_label(cell, f"row {rix}, column {cix}"))
                 continue
             try:
                 val = float(cell)

@@ -14,7 +14,6 @@ single fit.
 from __future__ import annotations
 
 import itertools
-from concurrent.futures import ThreadPoolExecutor
 
 # bagged_k_distance, build_kg_graph, empirical_plls, core_subgraph,
 # connected_components and finalize stay importable from this module, where
@@ -31,7 +30,8 @@ from .cluster import (  # noqa: F401
     first_scoring,
     graph_from_neighbors,
 )
-from .knn import worker_count
+# worker_count stays importable here for callers that read the thread cap
+from .knn import ordered_map, worker_count  # noqa: F401
 from .metrics import metric_report
 from .plls import empirical_plls, plls_from_neighbors  # noqa: F401
 
@@ -40,11 +40,15 @@ GRID_COLUMNS = ("b", "rho", "kd", "kl", "kg", "lambda",
                 "ari", "nmi", "f1", "acc", "num_clusters")
 
 
-def _cell_report(points, nbr, first, edges, scores, config, true_labels):
-    labels, _, num = _threshold(points, nbr, first, edges, scores, config, {})
-    report = metric_report(true_labels, labels)
-    report["num_clusters"] = num
-    return report
+def _values(grid, name, default, cast):
+    """One parameter's values, cast; ValueError unless they form a list."""
+    values = grid.get(name, default)
+    try:
+        if not isinstance(values, (str, dict)):
+            return [cast(v) for v in values]
+    except (TypeError, ValueError):
+        pass
+    raise ValueError(f"grid parameter {name!r} needs a list of numbers, got {values!r}")
 
 
 def grid_search(ds, grid, metric="ari", seed=0, min_cluster_size=None):
@@ -63,12 +67,12 @@ def grid_search(ds, grid, metric="ari", seed=0, min_cluster_size=None):
         raise ValueError(f"metric {metric!r} requires ground-truth labels")
     points = ds.points
     n = points.shape[0]
-    bs = [int(v) for v in grid.get("b", [10])]
-    rhos = [float(v) for v in grid.get("rho", [0.1])]
-    kds = [int(v) for v in grid.get("kd", [])]
-    kls = [int(v) for v in grid.get("kl", [])]
-    kgs = [int(v) for v in grid.get("kg", [15])]
-    lams = [float(v) for v in grid.get("lambda", [0.5])]
+    bs = _values(grid, "b", [10], int)
+    rhos = _values(grid, "rho", [0.1], float)
+    kds = _values(grid, "kd", [], int)
+    kls = _values(grid, "kl", [], int)
+    kgs = _values(grid, "kg", [15], int)
+    lams = _values(grid, "lambda", [0.5], float)
     if not kds or not kls:
         raise ValueError("grid must supply kd and kl value lists")
     for name, values in (("b", bs), ("rho", rhos), ("kd", kds),
@@ -94,20 +98,18 @@ def grid_search(ds, grid, metric="ari", seed=0, min_cluster_size=None):
     bagged, nbr = _bagged_and_table(points, plans, width, {})
     bagged = dict(zip(plans, bagged))
     graphs = {kg: graph_from_neighbors(nbr[:, :kg]) for kg in kgs}
+
+    def report(cell):
+        c, scores, first = cell
+        labels, _, num = _threshold(points, nbr, first, graphs[c.k_g], scores, c, {})
+        return {"b": c.b, "rho": c.rho, "kd": c.k_d, "kl": c.k_l, "kg": c.k_g,
+                "lambda": c.lam, **metric_report(ds.labels, labels), "num_clusters": num}
+
     rows = []
-    pool = ThreadPoolExecutor(max_workers=worker_count())
-    try:
-        for (plan, kl), cells in by_scores.items():
-            scores = plls_from_neighbors(bagged[plan], nbr[:, :kl])
-            first = first_scoring(scores, nbr, lams)
-            futures = [(c, pool.submit(_cell_report, points, nbr,
-                                       first[:, lams.index(c.lam)], graphs[c.k_g],
-                                       scores, c, ds.labels))
-                       for c in cells]
-            rows += [{"b": c.b, "rho": c.rho, "kd": c.k_d, "kl": c.k_l, "kg": c.k_g,
-                      "lambda": c.lam, **fut.result()} for c, fut in futures]
-    finally:
-        pool.shutdown()
+    for (plan, kl), cells in by_scores.items():
+        scores = plls_from_neighbors(bagged[plan], nbr[:, :kl])
+        first = first_scoring(scores, nbr, lams)
+        rows += ordered_map(report, [(c, scores, first[:, lams.index(c.lam)]) for c in cells])
     rows.sort(key=lambda r: (-r[metric], r["b"], r["rho"], r["kd"],
                              r["kl"], r["kg"], r["lambda"]))
     return rows

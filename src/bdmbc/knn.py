@@ -28,10 +28,9 @@ forms them from the locations in k-d leaf order, so the rows of one block
 walk the same branches of the tree; a self-query reads that order from
 the index's own tree instead of building a second one.  Large passes
 hand whole blocks (tree query, exact distances, sort, tie test and the
-writes of the block's rows) to a thread pool of worker_count() threads
-created for that query; every block writes only its own rows, and a row's
-result never depends on its block, so the output is identical for any
-thread count and any block order.
+writes of the block's rows) to ordered_map, the package's one thread pool;
+every block writes only its own rows, and a row's result never depends on
+its block, so the output is identical for any thread count and block order.
 
 Both trees hold 64 points per leaf (_LEAF_SIZE), not scipy's 16: a wider
 leaf scans more points but visits fewer nodes, which pays in the 10-D
@@ -42,6 +41,7 @@ about 10% (sweep beside the constant).
 from __future__ import annotations
 
 import os
+from collections import deque
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
@@ -91,6 +91,24 @@ def worker_count():
             return len(os.sched_getaffinity(0))
         return os.cpu_count() or 1
     return value
+
+
+def ordered_map(fn, items, workers=None):
+    """Yield fn(item) for each item of a sequence, in item order: inline with
+    one worker or one item, else on a pool of workers threads (default
+    worker_count()) with at most 2 x workers calls pending or unread."""
+    workers = workers or worker_count()
+    if workers == 1 or len(items) <= 1:
+        yield from map(fn, items)
+        return
+    with ThreadPoolExecutor(workers) as pool:
+        pending = deque()
+        for item in items:
+            if len(pending) == 2 * workers:
+                yield pending.popleft().result()
+            pending.append(pool.submit(fn, item))
+        while pending:
+            yield pending.popleft().result()
 
 
 def _group_rows(x):
@@ -198,9 +216,9 @@ class SpatialIndex:
         out_idx = np.empty((m, k), dtype=np.int64)
         out_dist = np.empty((m, k), dtype=np.float64)
 
-        def run_block(block, kq):
-            # writes only the rows at this block's certified locations;
-            # returns the locations that must retry
+        def run_block(block):
+            # one block of this pass's kq-wide window: writes only the rows at
+            # its certified locations; returns the locations that must retry
             nbr, dist, tied = self._query_window(sites[block], kk, kq)
             done = block[~tied]
             rows = rows_by_loc[_ranges(row_starts[done], row_sizes[done])]
@@ -224,23 +242,12 @@ class SpatialIndex:
             # leaf order, which the retries keep
             tree = self._tree if self_query else cKDTree(sites, leafsize=_LEAF_SIZE)
             pending = tree.indices
-        pool = None
-        try:
-            while pending.size:
-                step = max(budget // (kq * self.d), 1)
-                blocks = [pending[lo : lo + step] for lo in range(0, pending.size, step)]
-                workers = worker_count() if pending.size * kq >= _PARALLEL_MIN_NEIGHBORS else 1
-                if workers > 1 and len(blocks) > 1:
-                    if pool is None:
-                        pool = ThreadPoolExecutor(workers)
-                    retry = list(pool.map(run_block, blocks, [kq] * len(blocks)))
-                else:
-                    retry = [run_block(block, kq) for block in blocks]
-                pending = np.concatenate(retry)
-                kq = min(self._lowest.size, 2 * kq)
-        finally:
-            if pool is not None:
-                pool.shutdown()
+        while pending.size:
+            step = max(budget // (kq * self.d), 1)
+            blocks = [pending[lo : lo + step] for lo in range(0, pending.size, step)]
+            workers = None if pending.size * kq >= _PARALLEL_MIN_NEIGHBORS else 1
+            pending = np.concatenate(list(ordered_map(run_block, blocks, workers)))
+            kq = min(self._lowest.size, 2 * kq)
         return out_idx, out_dist
 
     def _query_window(self, queries, kk, kq):

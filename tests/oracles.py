@@ -1,4 +1,4 @@
-"""Brute-force oracles shared by the test modules."""
+"""Brute-force oracles and hostile inputs shared by the test modules."""
 
 import numpy as np
 
@@ -71,3 +71,17 @@ def pairwise_order(points):
     np.fill_diagonal(dist, np.inf)
     order = np.lexsort((np.broadcast_to(np.arange(n), (n, n)), dist))
     return order, np.take_along_axis(dist, order, axis=1)
+
+
+def hostile_set(rng, kind, n, d):
+    """Seeded points full of exact ties: copies of a few rows, +0.0 beside
+    -0.0, a 0.25 lattice, or that lattice at an offset of 1e7."""
+    if kind == "duplicates":
+        return rng.random((max(n // 4, 1), d))[rng.integers(max(n // 4, 1), size=n)]
+    if kind == "signed-zero":
+        return rng.choice(np.array([-0.0, 0.0, 0.5, 1.0]), size=(n, d))
+    if kind == "lattice":
+        return np.round(rng.random((n, d)) * 4) / 4
+    if kind == "offset":
+        return 1e7 + np.round(rng.random((n, d)) * 8) / 4
+    return rng.random((n, d))

@@ -22,7 +22,7 @@ from bdmbc.bagging import (
 )
 from bdmbc.data import Dataset, _rng, gen_multiblobs
 from bdmbc.knn import SpatialIndex, k_distances
-from oracles import pairwise_order
+from oracles import hostile_set, pairwise_order
 
 
 def exact_weights(n, s, k):
@@ -212,29 +212,24 @@ def partition_rank_table(points, plan):
 
     rank[i, j] is j's position in i's (distance, index) order, with i
     itself parked last; each round partitions its members' ranks per point.
-    Rounds are summed in the same groups as the library's average.
+    Rounds are added one at a time in round order.
     """
     n = points.shape[0]
     order, sorted_dist = pairwise_order(points)
     rank = np.empty((n, n), dtype=np.int32)
     np.put_along_axis(rank, order, np.arange(n, dtype=np.int32)[None, :], axis=1)
     total = np.zeros(n)
-    rows = np.arange(n)[:, None]
-    chunk = min(max(5_000_000 // (n * plan.s), 1), 4000)
-    for start in range(0, plan.b, chunk):
-        stop = min(start + chunk, plan.b)
-        subs = np.stack(
-            [subsample(n, plan.s, _rng(plan.seed, b)) for b in range(start, stop)]
-        )
-        r = np.take(rank, subs, axis=1)
-        r.partition(plan.k_d - 1, axis=2)
-        total += np.cumsum(sorted_dist[rows, r[:, :, plan.k_d - 1]], axis=1)[:, -1]
+    rows = np.arange(n)
+    for b in range(plan.b):
+        r = rank[:, subsample(n, plan.s, _rng(plan.seed, b))]
+        r.partition(plan.k_d - 1, axis=1)
+        total += sorted_dist[rows, r[:, plan.k_d - 1]]
     return total / plan.b
 
 
 def test_windowed_rounds_equal_partition_oracle(monkeypatch):
     # bit for bit against the rank-table partition, on continuous and
-    # quantized points, with b spanning several summing groups, and with
+    # quantized points, with b spanning several counter blocks, and with
     # (point, round) pairs left short by the first window
     from bdmbc import bagging
 
@@ -257,7 +252,7 @@ def test_windowed_rounds_equal_partition_oracle(monkeypatch):
         s = int(rng.integers(2, n))
         kd = int(rng.integers(1, s))
         plans.append((pts, BaggingPlan(b=int(rng.integers(1, 40)), s=s, k_d=kd, seed=trial)))
-    # several summing groups and several counter blocks
+    # several counter blocks
     pts = rng.random((150, 2))
     plans.append((pts, BaggingPlan(b=4000, s=140, k_d=3, seed=1)))
     plans.append((np.round(pts * 4) / 4, BaggingPlan(b=1500, s=100, k_d=7, seed=2)))
@@ -269,8 +264,7 @@ def test_windowed_rounds_equal_partition_oracle(monkeypatch):
         assert np.array_equal(got, partition_rank_table(pts, plan)), plan
     # the last plan re-counted some pairs past the first window
     assert any(start > 0 and size > 0 for start, size in counted), counted
-    group = min(5_000_000 // (150 * 140), 4000)
-    assert plans[-3][1].b > 2 * group and plans[-3][1].b * 150 > 2 * bagging._ROUND_BLOCK
+    assert plans[-3][1].b > 2 * (bagging._ROUND_BLOCK // 150)
 
 
 def test_windowed_rounds_memory_bounded():
@@ -290,6 +284,50 @@ def test_windowed_rounds_memory_bounded():
     finally:
         tracemalloc.stop()
     assert peak < 64 * 2**20, peak
+
+
+def tree_rounds(points, plan):
+    """Oracle: per-round tree k_d-distances added in round order."""
+    from bdmbc import bagging
+
+    n = len(points)
+    total = np.zeros(n)
+    for b in range(plan.b):
+        total += bagging._round_tree(points, subsample(n, plan.s, _rng(plan.seed, b)),
+                                     plan.k_d)
+    return total / plan.b
+
+
+def test_rank_table_fuzz_equals_tree_rounds(monkeypatch):
+    # every plan bit for bit against the per-round tree path, over seeded
+    # hostile sets at d from 1 to 30, with b spanning several counter
+    # blocks in a third of the plans
+    from bdmbc import bagging
+
+    rng = _rng(13, 24)
+    kinds = ("continuous", "duplicates", "signed-zero", "lattice", "offset")
+    plans = []
+    for case in range(150):
+        n = int(rng.integers(3, 300))
+        d = int(rng.integers(1, 31))
+        s = int(rng.integers(2, n))
+        plan = BaggingPlan(b=int(rng.integers(1, 13)), s=s, k_d=int(rng.integers(1, s)),
+                           seed=case)
+        plans.append((hostile_set(rng, kinds[case % 5], n, d), plan,
+                      3 * n if case % 3 == 0 else bagging._ROUND_BLOCK))
+    # a full-size counter block and part of the next
+    pts = hostile_set(rng, "lattice", 2048, 2)
+    plans.append((pts, BaggingPlan(b=bagging._ROUND_BLOCK // 2048 + 5, s=64, k_d=6,
+                                   seed=150), bagging._ROUND_BLOCK))
+    signed_zeros = 0
+    for case, (pts, plan, block) in enumerate(plans):
+        monkeypatch.setattr(bagging, "_ROUND_BLOCK", block)
+        got = bagging._bagged_rank_table(knn_table(pts), plan)
+        want = tree_rounds(pts, plan)
+        assert np.array_equal(got.view(np.uint64), want.view(np.uint64)), (case, plan)
+        zero = pts == 0
+        signed_zeros += bool(np.any(zero & np.signbit(pts)) and np.any(zero & ~np.signbit(pts)))
+    assert signed_zeros > 10
 
 
 @pytest.mark.parametrize("d", [1, 2, 5, 60])
@@ -334,8 +372,8 @@ def test_tree_round_equals_brute_round_on_grid():
 
 
 def test_brute_rounds_on_a_pool_sum_in_round_order(monkeypatch):
-    # brute-force rounds run worker_count() at a time on a pool; the total
-    # adds them in round order, bit for bit, at any thread count
+    # brute-force rounds fan out through ordered_map; the total adds them in
+    # round order, bit for bit, at any thread count
     from bdmbc import bagging
 
     pts = _rng(8, 17).random((3000, 3))

@@ -128,6 +128,25 @@ def test_load_csv_errors(tmp_path):
         load_csv(tmp_path / "missing.csv")
 
 
+@pytest.mark.parametrize("cell,message", [
+    ("inf", "not an integer"), ("-inf", "not an integer"), ("nan", "not an integer"),
+    ("1.5", "not an integer"), ("1e300", "out of range"), ("abc", "bad label"),
+])
+def test_load_csv_rejects_bad_label_cells(tmp_path, cell, message):
+    # int(float("inf")) raised OverflowError, and int(float("nan")) a plain
+    # ValueError, instead of a DataError naming the cell
+    path = tmp_path / "lab.csv"
+    path.write_text(f"1,0\n2,1\n3,{cell}\n")
+    with pytest.raises(DataError, match=f"row 2, column 1: .*{message}"):
+        load_csv(path, label_column=1)
+
+
+def test_load_csv_keeps_integral_label_cells(tmp_path):
+    path = tmp_path / "lab.csv"
+    path.write_text("1,0\n2,1.0\n3,2e0\n4, 3\n")
+    assert load_csv(path, label_column=1).labels.tolist() == [0, 1, 2, 3]
+
+
 # ------------------------------------------------------------ scale_minmax
 
 

@@ -191,6 +191,48 @@ def test_grid_thread_invariance(blob_csv, monkeypatch):
     assert rows_1 == rows_8
 
 
+def test_one_thread_starts_no_thread(blob_csv, monkeypatch):
+    # at BDMBC_THREADS=1 a fit with brute-force bagging rounds and a grid run
+    # every k-NN block, round and cell on the calling thread; at 2 threads
+    # both start pools, and give the same results
+    import threading
+
+    from bdmbc import bagging, knn
+
+    _, small = blob_csv
+    ds = gen_multiblobs(3000, 2, 3, seed=5)
+    config = BdmbcConfig(k_d=5, k_l=30, b=3, rho=0.1, seed=0)
+    assert ds.n > bagging._RANK_TABLE_MAX_N
+    assert config.subsample_size(ds.n) <= bagging._BRUTE_SUBSAMPLE_MAX_S
+    grid = {"b": [2], "rho": [0.5], "kd": [5], "kl": [30],
+            "kg": [5, 10], "lambda": [0.3, 0.5]}
+    pools = []
+    pool_class = knn.ThreadPoolExecutor
+
+    def counted_pool(*args, **kwargs):
+        pools.append(args)
+        return pool_class(*args, **kwargs)
+
+    monkeypatch.setattr(knn, "ThreadPoolExecutor", counted_pool)
+    monkeypatch.setenv("BDMBC_THREADS", "2")
+    labels = bdmbc_fit(ds, config).labels
+    fit_pools = len(pools)
+    rows = grid_search(small, grid, seed=0)
+    assert fit_pools > 0 and len(pools) > fit_pools
+
+    def no_pool(*args, **kwargs):
+        raise AssertionError("a thread pool was started")
+
+    def no_start(self):
+        raise AssertionError("a thread was started")
+
+    monkeypatch.setattr(knn, "ThreadPoolExecutor", no_pool)
+    monkeypatch.setattr(threading.Thread, "start", no_start)
+    monkeypatch.setenv("BDMBC_THREADS", "1")
+    assert np.array_equal(bdmbc_fit(ds, config).labels, labels)
+    assert grid_search(small, grid, seed=0) == rows
+
+
 def test_grid_table_from_pairwise_order_equals_query(monkeypatch):
     # the grid indexes its n points once and queries them once, n - 1 wide
     # for the rank table; a table sliced from the brute-force pairwise order
@@ -313,6 +355,49 @@ def test_cli_eval_mismatch(tmp_path):
     a.write_text("0\n1\n")
     b.write_text("0\n")
     assert main(["eval", str(a), str(b)]) == 2
+
+
+@pytest.mark.parametrize("bad", ["1.5", "inf", "nan", "1e300", "x"])
+def test_cli_eval_rejects_bad_labels(tmp_path, capsys, bad):
+    # 1.5 was truncated to 1 (ARI 1.0 against 0,1,1), and inf and 1e300
+    # exited 4 as internal errors
+    truth, pred = tmp_path / "truth.txt", tmp_path / "pred.txt"
+    truth.write_text(f"0\n1\n{bad}\n")
+    pred.write_text("0\n1\n1\n")
+    assert main(["eval", str(truth), str(pred)]) == 2
+    assert "truth.txt line 3: " in capsys.readouterr().err
+    truth.write_text("0\n1.0\n\n2\n")
+    pred.write_text("0\n1\n2\n")
+    assert main(["eval", str(truth), str(pred)]) == 0
+
+
+def test_cli_rejects_json_that_is_not_an_object_of_lists(tmp_path, blob_csv, capsys):
+    # these exited 4 as internal errors; like gen, they are usage errors
+    path, _ = blob_csv
+    spec = tmp_path / "spec.json"
+    good = tmp_path / "good.json"
+    good.write_text(json.dumps({"kd": 5, "kl": 30, "b": 2, "rho": 0.5}))
+    grid = ["grid", str(path), "--label-column", "2", "--grid", str(spec),
+            "--out", str(tmp_path / "g.csv")]
+    for bad, message in (([1, 2], "grid spec must be a JSON object"),
+                         ({"kd": 1, "kl": [30]}, "'kd' needs a list of numbers"),
+                         ({"kd": "5", "kl": [30]}, "'kd' needs a list of numbers"),
+                         ({"kd": [5], "kl": [[30]]}, "'kl' needs a list of numbers"),
+                         ({"kd": [5], "kl": [30], "lambda": [None]},
+                          "'lambda' needs a list of numbers")):
+        spec.write_text(json.dumps(bad))
+        capsys.readouterr()
+        assert main(grid) == 2, bad
+        assert message in capsys.readouterr().err, bad
+    for bad in ([1, 2], "kd", None):
+        spec.write_text(json.dumps(bad))
+        for configs in ((spec, good), (good, spec)):
+            capsys.readouterr()
+            code = main(["bench", str(path), "--config-a", str(configs[0]),
+                         "--config-b", str(configs[1]), "--out", str(tmp_path / "b.json")])
+            assert code == 2, bad
+            assert "config must be a JSON object" in capsys.readouterr().err
+    assert not (tmp_path / "g.csv").exists() and not (tmp_path / "b.json").exists()
 
 
 def test_cli_grid(tmp_path, blob_csv):

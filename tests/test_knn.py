@@ -15,7 +15,9 @@ from bdmbc.knn import (
     _TIE_PAD,
     SpatialIndex,
     k_distances,
+    ordered_map,
 )
+from oracles import hostile_set
 
 
 def brute_knn(points, x, k, exclude_index=None):
@@ -309,18 +311,6 @@ def oracle_table(points, queries, k, exclude):
         dist[rows, exclude[rows]] = np.inf
     order = np.lexsort((np.broadcast_to(np.arange(len(points)), dist.shape), dist))[:, :k]
     return order, np.take_along_axis(dist, order, axis=1)
-
-
-def hostile_set(rng, kind, n, d):
-    if kind == "duplicates":
-        return rng.random((max(n // 4, 1), d))[rng.integers(max(n // 4, 1), size=n)]
-    if kind == "signed-zero":
-        return rng.choice(np.array([-0.0, 0.0, 0.5, 1.0]), size=(n, d))
-    if kind == "lattice":
-        return np.round(rng.random((n, d)) * 4) / 4
-    if kind == "offset":
-        return 1e7 + np.round(rng.random((n, d)) * 8) / 4
-    return rng.random((n, d))
 
 
 def test_query_fuzz_against_brute_force(monkeypatch):
@@ -661,3 +651,68 @@ def test_identical_points_cost_one_location():
     assert np.array_equal(nbr, expected)
     assert np.all(dist == 0.0)
     assert elapsed < 2.0, f"{elapsed:.2f} s"
+
+
+# ------------------------------------------------------------- ordered_map
+
+
+def test_ordered_map_yields_in_item_order():
+    # early items take longest, so later ones finish first; results still
+    # come back in item order, from pool threads
+    threads = set()
+
+    def slow_square(i):
+        time.sleep(0.002 * (12 - i % 12))
+        threads.add(threading.get_ident())
+        return i * i
+
+    assert list(ordered_map(slow_square, range(30), workers=3)) == [i * i for i in range(30)]
+    assert len(threads) > 1 and threading.get_ident() not in threads
+
+
+@pytest.mark.parametrize("workers", [2, 3])
+def test_ordered_map_bounds_pending_calls(monkeypatch, workers):
+    # a slow reader never has more than 2 x workers calls submitted and unread
+    submitted = []
+
+    class CountingPool(knn.ThreadPoolExecutor):
+        def submit(self, fn, *args, **kwargs):
+            submitted.append(args)
+            return super().submit(fn, *args, **kwargs)
+
+    monkeypatch.setattr(knn, "ThreadPoolExecutor", CountingPool)
+    ahead = []
+    for read, value in enumerate(ordered_map(lambda i: i, range(40), workers=workers)):
+        assert value == read
+        ahead.append(len(submitted) - read)  # this call and the ones behind it
+        time.sleep(0.001)
+    assert len(submitted) == 40
+    assert workers < max(ahead) <= 2 * workers, ahead
+
+
+def test_ordered_map_runs_inline_with_one_worker_or_item(monkeypatch):
+    def no_pool(*args, **kwargs):
+        raise AssertionError("a thread pool was started")
+
+    monkeypatch.setattr(knn, "ThreadPoolExecutor", no_pool)
+    caller = threading.get_ident()
+
+    def where(i):
+        return i, threading.get_ident()
+
+    assert list(ordered_map(where, range(5), workers=1)) == [(i, caller) for i in range(5)]
+    assert list(ordered_map(where, [7], workers=4)) == [(7, caller)]
+    assert list(ordered_map(where, [], workers=4)) == []
+    monkeypatch.setenv("BDMBC_THREADS", "1")
+    assert list(ordered_map(where, range(3))) == [(i, caller) for i in range(3)]
+
+
+def test_ordered_map_raises_the_first_failure_in_item_order():
+    def fail_at(i):
+        if i in (5, 9):
+            time.sleep(0.01 * (i == 5))  # item 9 fails first
+            raise ValueError(f"item {i}")
+        return i
+
+    with pytest.raises(ValueError, match="item 5"):
+        list(ordered_map(fail_at, range(20), workers=3))
