@@ -17,13 +17,21 @@ import numpy as np
 from .data import _points, _rng
 from .knn import SpatialIndex, ordered_map
 
-# Up to this size one exact self-excluded k-NN table of all n - 1 others
-# serves all bagging rounds; above it, per-round scans respect the
-# complexity budget.
+# Up to this size one exact self-excluded k-NN table, as wide as the rank
+# table reaches, serves all bagging rounds; above it, per-round scans
+# respect the complexity budget.
 _RANK_TABLE_MAX_N = 2048
 # (point, round) member counters advanced together: few enough to stay
 # cache-resident
 _ROUND_BLOCK = 1 << 18
+
+
+def check_integers(**values):
+    """ValueError naming the first value that is not an int or a numpy
+    integer; a bool is not one."""
+    for name, value in values.items():
+        if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+            raise ValueError(f"{name} must be an integer, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -36,6 +44,7 @@ class BaggingPlan:
     seed: int = 0
 
     def validate(self, n):
+        check_integers(b=self.b, s=self.s, k_d=self.k_d, seed=self.seed)
         if self.b < 1:
             raise ValueError("b must be >= 1")
         if not 1 <= self.s <= n:
@@ -68,23 +77,29 @@ def _count_members(hits_at, positions, count, pos, k_d):
             break  # every counter is done: later positions add nothing
 
 
+def _rank_reach(n, plan):
+    """Positions of a self-excluded neighbor row that the rank table reads:
+    a round's k_d-th member lies among the first k_d + n - s, since only
+    n - s points lie outside its subsample."""
+    return min(n - 1, plan.k_d + n - plan.s)
+
+
 def _bagged_rank_table(table, plan):
     """All rounds from one k-NN table; exact, vectorized over rounds.
 
-    table is the (indices, distances) of the self-excluded (n - 1)-NN
-    query.  In a round, point i's k_d-distance is distances[i, p], where p
-    is the position of the k_d-th subsample member along indices[i] (i
-    itself is absent, so it never counts).  Members are counted position by
-    position for every (point, round) pair at once, over a short window of
-    about twice the expected position; pairs still short of k_d members then
-    continue alone up to position k_d + n - s, by which k_d members have
-    passed, since only n - s points lie outside the subsample.  Rounds are
-    counted in blocks of _ROUND_BLOCK // n and added in round order.
+    table is the (indices, distances) of the self-excluded k-NN query, at
+    least _rank_reach wide.  In a round, point i's k_d-distance is
+    distances[i, p], where p is the position of the k_d-th subsample member
+    along indices[i] (i itself is absent, so it never counts).  Members are
+    counted position by position for every (point, round) pair at once, over
+    a short window of about twice the expected position; pairs still short
+    of k_d members then continue alone up to the reach.  Rounds are counted
+    in blocks of _ROUND_BLOCK // n and added in round order.
     """
     order, sorted_dist = table
     n = order.shape[0]
     k_d = plan.k_d
-    full = min(n - 1, k_d + n - plan.s)
+    full = _rank_reach(n, plan)
     short = min(full, 2 * -(-k_d * n // plan.s) + 16)
     block = max(_ROUND_BLOCK // n, 1)
     total = np.zeros(n)
@@ -190,9 +205,13 @@ def _bagged_per_round(points, plan):
 
 def _table_width(n, plans):
     """Columns of the self-excluded k-NN table of n points that bagging
-    reads for these plans: n - 1 for the rank table (n <=
-    _RANK_TABLE_MAX_N, s < n), k_d at s == n, none for per-round scans."""
-    return max((plan.k_d if plan.s == n else n - 1 if n <= _RANK_TABLE_MAX_N else 0
+    reads for these plans: the reach for the rank table (n <=
+    _RANK_TABLE_MAX_N, s < n), k_d at s == n, none for per-round scans.
+
+    The grid's trimodal plan (n=2000, s=1800, k_d=300) reaches 500 of the
+    1999 columns, so its shared table is as wide as k_l = 750."""
+    return max((plan.k_d if plan.s == n
+                else _rank_reach(n, plan) if n <= _RANK_TABLE_MAX_N else 0
                 for plan in plans), default=0)
 
 
@@ -203,7 +222,9 @@ def bagged_k_distance(ds, plan, table=None):
     list there.  The degenerate plan (B=1, s=n) equals the plain
     k-distance bit for bit.  Where _table_width is nonzero the rounds read
     the points' self-excluded k-NN table, (indices, distances) at least that
-    wide: pass table= to share one with other stages, or it is queried here.
+    wide (the rank table's reach, k_d + n - s, or k_d at s == n): pass
+    table= to share one with other stages, as the grid and the fit do, or
+    it is queried here.
     """
     points = _points(ds)
     n = points.shape[0]

@@ -17,7 +17,7 @@ import numpy as np
 
 from . import __version__
 from .cluster import BdmbcConfig, bdmbc_fit
-from .data import DataError, dataset_from_spec, load_csv, parse_label, scale_minmax
+from .data import DataError, dataset_from_spec, load_csv, parse_int, parse_label, scale_minmax
 from .grid import GRID_COLUMNS, grid_search
 from .metrics import metric_report
 
@@ -36,16 +36,28 @@ def _load_dataset(args):
 def _config_from_mapping(m):
     if not isinstance(m, dict):
         raise DataError(f"config must be a JSON object, got {m!r}")
+
+    def integer(key, default=None):
+        value = m.get(key, default)
+        return None if value is None else parse_int(value, key)
+
+    def number(key, default):
+        value = m.get(key, default)
+        try:
+            return float(value)
+        except TypeError:
+            raise DataError(f"{key}={value!r} is not a number") from None
+
     return BdmbcConfig(
-        k_d=int(m["kd"]),
-        k_l=int(m["kl"]),
-        b=int(m.get("b", 10)),
-        rho=float(m.get("rho", 0.1)),
-        s=int(m["s"]) if m.get("s") is not None else None,
-        k_g=int(m.get("kg", 15)),
-        lam=float(m.get("lambda", 0.5)),
-        min_cluster_size=int(m["min_cluster_size"]) if m.get("min_cluster_size") is not None else None,
-        seed=int(m.get("seed", 0)),
+        k_d=parse_int(m["kd"], "kd"),
+        k_l=parse_int(m["kl"], "kl"),
+        b=integer("b", 10),
+        rho=number("rho", 0.1),
+        s=integer("s"),
+        k_g=integer("kg", 15),
+        lam=number("lambda", 0.5),
+        min_cluster_size=integer("min_cluster_size"),
+        seed=integer("seed", 0),
     )
 
 

@@ -22,8 +22,9 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.sparse import coo_matrix
 from scipy.sparse.csgraph import connected_components as _cc
+from scipy.sparse.csgraph import minimum_spanning_tree
 
-from .bagging import BaggingPlan, _table_width, bagged_k_distance
+from .bagging import BaggingPlan, _table_width, bagged_k_distance, check_integers
 from .data import _points
 from .knn import SpatialIndex
 from .plls import mode_set, plls_from_neighbors
@@ -66,6 +67,8 @@ class BdmbcConfig:
         return BaggingPlan(b=self.b, s=self.subsample_size(n), k_d=self.k_d, seed=self.seed)
 
     def validate(self, n):
+        check_integers(k_l=self.k_l, k_g=self.k_g,
+                       min_cluster_size=self.effective_min_cluster_size())
         self.plan(n).validate(n)
         if not 1 <= self.k_l <= n - 1:
             raise ValueError(f"k_l={self.k_l} out of range [1, {n - 1}]")
@@ -139,6 +142,26 @@ def core_subgraph(edges, scores, lam):
     """(mask, core_edges): the points scoring >= lam and the edges between them."""
     mask = np.asarray(scores) >= lam
     return mask, edges[mask[edges[:, 0]] & mask[edges[:, 1]]]
+
+
+def spanning_forest(edges, scores):
+    """A maximum spanning forest of distinct directed edges, each weighted by
+    its lower endpoint score: (m, 2) int64 edges, m < n.
+
+    At every lambda, the forest's edges whose endpoints both score >= lambda
+    join the same components as all such edges (the cycle property: an edge
+    left out closes a cycle of forest edges scoring no lower).  So one forest
+    per score vector and graph serves core_subgraph at every lambda.
+    """
+    scores = np.asarray(scores)
+    n = len(scores)
+    # scipy's minimum forest on 2 - lower score: the weights lie in [1, 2],
+    # so none is the zero that scipy drops, and PLLS scores, multiples of
+    # 1 / k_l, keep distinct weights
+    weight = 2.0 - np.minimum(scores[edges[:, 0]], scores[edges[:, 1]])
+    forest = minimum_spanning_tree(
+        coo_matrix((weight, (edges[:, 0], edges[:, 1])), shape=(n, n))).tocoo()
+    return np.column_stack([forest.row, forest.col]).astype(np.int64)
 
 
 def connected_components(mask, edges):
@@ -276,9 +299,10 @@ def _bagged_and_table(points, plans, width, timings):
 def _threshold(points, nbr, first, edges, scores, config, timings):
     """finalize's (labels, final_core_mask, num_clusters) at config.lam: the
     threshold stage of a fit and of every grid cell, on the neighbor table
-    nbr that the edges were sliced from; first is nbr's first_scoring
-    column at config.lam.  timings gets "components" (core subgraph and
-    its components) and adds to "finalize"."""
+    nbr that the edges were sliced from (a grid cell passes their
+    spanning_forest); first is nbr's first_scoring column at config.lam.
+    timings gets "components" (core subgraph and its components) and adds
+    to "finalize"."""
     t0 = time.perf_counter()
     mask, core_edges = core_subgraph(edges, scores, config.lam)
     provisional = connected_components(mask, core_edges)

@@ -134,6 +134,16 @@ def parse_label(text, where):
     return value
 
 
+def parse_int(value, where):
+    """The int a JSON value holds, else a DataError naming where: an int, a
+    numpy integer or a float with no fraction; bools are not integers."""
+    if isinstance(value, float) and value.is_integer():
+        return int(value)
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise DataError(f"{where}={value!r} is not an integer")
+    return int(value)
+
+
 def load_csv(path, has_header=False, label_column=None):
     """Read a comma-delimited numeric file into a Dataset.
 

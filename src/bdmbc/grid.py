@@ -1,14 +1,16 @@
 """Cartesian hyperparameter grid evaluation with stage-level caching.
 
 Every grid cell is one BdmbcConfig, run as a fit runs it.  One exact
-neighbor table, at least as wide as the largest k_l or k_g, serves every
-cell and every bagging pass, and cells with equal (b, s, kd) share one
-pass (see cluster._bagged_and_table).
+neighbor table, as wide as the largest k_l or k_g or as the columns the
+bagging rounds reach, serves every cell and every bagging pass, and cells
+with equal (b, s, kd) share one pass (see cluster._bagged_and_table).
 Each of the rest is built once and shared: one score vector per (plan,
 k_l), one first_scoring table per score vector over the grid's lambdas
-(each cell's finalize reads its column), and one graph per k_g.  So dense
-grids over the cheap parameters (k_g, lambda) cost little more than a
-single fit.
+(each cell's finalize reads its column), and one spanning_forest of the
+k_g graph per (score vector, k_g), whose edges at or above each lambda
+join that lambda's components, so every cell's core subgraph is cut from
+at most n - 1 edges.  So dense grids over the cheap parameters (k_g,
+lambda) cost little more than a single fit.
 """
 
 from __future__ import annotations
@@ -29,7 +31,9 @@ from .cluster import (  # noqa: F401
     finalize,
     first_scoring,
     graph_from_neighbors,
+    spanning_forest,
 )
+from .data import parse_int
 # worker_count stays importable here for callers that read the thread cap
 from .knn import ordered_map, worker_count  # noqa: F401
 from .metrics import metric_report
@@ -40,15 +44,17 @@ GRID_COLUMNS = ("b", "rho", "kd", "kl", "kg", "lambda",
                 "ari", "nmi", "f1", "acc", "num_clusters")
 
 
-def _values(grid, name, default, cast):
-    """One parameter's values, cast; ValueError unless they form a list."""
+def _values(grid, name, default, integer=False):
+    """One parameter's values, as ints (data.parse_int) or floats;
+    ValueError unless they form such a list."""
     values = grid.get(name, default)
+    reason = ""
     try:
         if not isinstance(values, (str, dict)):
-            return [cast(v) for v in values]
-    except (TypeError, ValueError):
-        pass
-    raise ValueError(f"grid parameter {name!r} needs a list of numbers, got {values!r}")
+            return [parse_int(v, name) if integer else float(v) for v in values]
+    except (TypeError, ValueError) as exc:
+        reason = f": {exc}"
+    raise ValueError(f"grid parameter {name!r} needs a list of numbers, got {values!r}{reason}")
 
 
 def grid_search(ds, grid, metric="ari", seed=0, min_cluster_size=None):
@@ -67,12 +73,12 @@ def grid_search(ds, grid, metric="ari", seed=0, min_cluster_size=None):
         raise ValueError(f"metric {metric!r} requires ground-truth labels")
     points = ds.points
     n = points.shape[0]
-    bs = _values(grid, "b", [10], int)
-    rhos = _values(grid, "rho", [0.1], float)
-    kds = _values(grid, "kd", [], int)
-    kls = _values(grid, "kl", [], int)
-    kgs = _values(grid, "kg", [15], int)
-    lams = _values(grid, "lambda", [0.5], float)
+    bs = _values(grid, "b", [10], integer=True)
+    rhos = _values(grid, "rho", [0.1])
+    kds = _values(grid, "kd", [], integer=True)
+    kls = _values(grid, "kl", [], integer=True)
+    kgs = _values(grid, "kg", [15], integer=True)
+    lams = _values(grid, "lambda", [0.5])
     if not kds or not kls:
         raise ValueError("grid must supply kd and kl value lists")
     for name, values in (("b", bs), ("rho", rhos), ("kd", kds),
@@ -97,11 +103,10 @@ def grid_search(ds, grid, metric="ari", seed=0, min_cluster_size=None):
     width = max(max(c.k_l, c.k_g) for c in configs)
     bagged, nbr = _bagged_and_table(points, plans, width, {})
     bagged = dict(zip(plans, bagged))
-    graphs = {kg: graph_from_neighbors(nbr[:, :kg]) for kg in kgs}
 
     def report(cell):
-        c, scores, first = cell
-        labels, _, num = _threshold(points, nbr, first, graphs[c.k_g], scores, c, {})
+        c, scores, first, forest = cell
+        labels, _, num = _threshold(points, nbr, first, forest, scores, c, {})
         return {"b": c.b, "rho": c.rho, "kd": c.k_d, "kl": c.k_l, "kg": c.k_g,
                 "lambda": c.lam, **metric_report(ds.labels, labels), "num_clusters": num}
 
@@ -109,7 +114,10 @@ def grid_search(ds, grid, metric="ari", seed=0, min_cluster_size=None):
     for (plan, kl), cells in by_scores.items():
         scores = plls_from_neighbors(bagged[plan], nbr[:, :kl])
         first = first_scoring(scores, nbr, lams)
-        rows += ordered_map(report, [(c, scores, first[:, lams.index(c.lam)]) for c in cells])
+        forests = {kg: spanning_forest(graph_from_neighbors(nbr[:, :kg]), scores)
+                   for kg in kgs}
+        rows += ordered_map(report, [(c, scores, first[:, lams.index(c.lam)], forests[c.k_g])
+                                     for c in cells])
     rows.sort(key=lambda r: (-r[metric], r["b"], r["rho"], r["kd"],
                              r["kl"], r["kg"], r["lambda"]))
     return rows

@@ -12,7 +12,10 @@ window of twice as many locations, until the window certifies it or holds
 every location, so results always agree with brute force and cost grows
 with the tied shell of locations, not with n.  A window of every location
 skips the tree walk: its candidates are all locations, so a query for
-k = n - 1 is the (distance, index) order of every pair.
+k = n - 1 is the (distance, index) order of every pair.  A query whose
+first window would hold at least a quarter of the locations
+(_WHOLE_WINDOW_SHARE) takes that whole window from the start, where
+sorting every location beats the walk.
 
 Query rows are grouped the same way.  Rows with equal coordinates share
 one list, solved once (for k + 1 members when rows exclude an index, each
@@ -59,7 +62,7 @@ _ROW_CHUNK = 1024
 # _BLOCK_WINDOW.  With _ROW_CHUNK rows at any d, a self-query of 4000
 # standard-normal points at d=784, k=50 peaked at 1463 MiB (tracemalloc);
 # at any window, a grid search over 2000 1-D points, whose table query
-# reads all n - 1 neighbors, peaked at 320-326 MB RSS instead of 160 MB.
+# then read all n - 1 neighbors, peaked at 320-326 MB RSS instead of 160 MB.
 _BLOCK_DIMS = 16
 _BLOCK_WINDOW = 128
 # Points per k-d tree leaf, for the index's tree and for the tree that puts
@@ -71,6 +74,19 @@ _BLOCK_WINDOW = 128
 # slower for 1-NN of 2k 1-D points against a subset and for 20k points
 # against a 2k subsample at k=15.
 _LEAF_SIZE = 64
+# A query whose first window would hold at least this share of the
+# locations takes a window of every location instead: past it, walking the
+# tree for that many candidates costs more than sorting them all.  Tree time
+# over whole-window time, self-query of standard-normal points with kq at a
+# share of the n locations, one thread, min of 3-5 runs, 2-core x86_64:
+#   share         0.10  0.15  0.20  0.25  0.30  0.40  0.60
+#   d=1,  n=500   0.31  0.51  0.68  0.83  0.93  1.32  1.31
+#   d=1,  n=2000  0.50  0.64  0.88  1.09  1.22  1.55  2.70
+#   d=2,  n=500   0.39  0.58  0.67  1.12  0.72  1.24  2.47
+#   d=2,  n=2000  0.41  0.52  0.77  0.96  0.93  1.41  1.72
+#   d=10, n=500   0.58  0.65  0.88  1.10  1.30  1.51  1.89
+#   d=10, n=2000  0.64  0.74  1.14  1.30  1.41  1.59  2.07
+_WHOLE_WINDOW_SHARE = 0.25
 # Window passes below this many candidates (rows x candidates per row) run
 # their blocks inline on the calling thread: starting pool threads costs
 # about 0.2 ms a call, more than small batches such as the grid's per-cell
@@ -210,6 +226,8 @@ class SpatialIndex:
             first, rows_by_loc, row_starts, row_sizes = _group_rows(queries)
             sites = queries if first.size == m else queries[first]
         kq = min(self._lowest.size, kk + _TIE_PAD)
+        if kq >= _WHOLE_WINDOW_SHARE * self._lowest.size:
+            kq = self._lowest.size
         # every window runs in blocks of at most budget (rows, kq, d)
         # difference elements, at most worker_count() blocks at a time
         budget = _ROW_CHUNK * min(kq, _BLOCK_WINDOW) * min(self.d, _BLOCK_DIMS)

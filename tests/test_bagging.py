@@ -330,6 +330,32 @@ def test_rank_table_fuzz_equals_tree_rounds(monkeypatch):
     assert signed_zeros > 10
 
 
+def test_rank_table_reads_only_its_reach(monkeypatch):
+    # a table cut to _rank_reach gives the n - 1 table's values bit for bit:
+    # on continuous and quantized points, at s = k_d + 1 (reach n - 1), at
+    # s = n - 1 (reach k_d + 1) and between, with b over several counter
+    # blocks in half of the plans
+    from bdmbc import bagging
+
+    rng = _rng(14, 25)
+    for case in range(90):
+        n = int(rng.integers(3, 200))
+        pts = rng.random((n, int(rng.integers(1, 4))))
+        if case % 2:
+            pts = np.round(pts * 4) / 4
+        k_d = int(rng.integers(1, n - 1))
+        s = (k_d + 1, n - 1, int(rng.integers(k_d + 1, n)))[case % 3]
+        plan = BaggingPlan(b=int(rng.integers(1, 13)), s=s, k_d=k_d, seed=case)
+        monkeypatch.setattr(bagging, "_ROUND_BLOCK", 3 * n if case % 4 < 2 else 1 << 18)
+        reach = bagging._rank_reach(n, plan)
+        assert reach == min(n - 1, k_d + n - s)
+        order, dist = knn_table(pts)
+        cut = np.ascontiguousarray(order[:, :reach]), np.ascontiguousarray(dist[:, :reach])
+        got = bagging._bagged_rank_table(cut, plan)
+        want = bagging._bagged_rank_table((order, dist), plan)
+        assert np.array_equal(got.view(np.uint64), want.view(np.uint64)), (case, plan)
+
+
 @pytest.mark.parametrize("d", [1, 2, 5, 60])
 def test_pairwise_order_is_the_knn_table(d):
     # the k-NN table's leading columns are the (distance, index) order of

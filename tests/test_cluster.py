@@ -18,6 +18,8 @@ from bdmbc.cluster import (
     core_subgraph,
     finalize,
     first_scoring,
+    graph_from_neighbors,
+    spanning_forest,
 )
 from bdmbc.data import Dataset, _rng, gen_multiblobs
 from bdmbc.knn import SpatialIndex
@@ -150,6 +152,31 @@ def test_components_match_bfs_oracle(seed):
     got = connected_components(mask, edges)
     oracle = bfs_components(n, [tuple(e) for e in edges], mask)
     assert np.array_equal(got, oracle)
+
+
+def test_spanning_forest_keeps_every_lambdas_components():
+    # random directed k-NN graphs with tied scores (multiples of 1/k_l): at
+    # every lambda, from 0 to above the top score, the forest's core
+    # subgraph has the components of the full edge list's
+    rng = _rng(7, 37)
+    for case in range(60):
+        n = int(rng.integers(2, 150))
+        pts = rng.random((n, int(rng.integers(1, 4))))
+        if case % 2:
+            pts = np.round(pts * 4) / 4
+        k_g = int(rng.integers(1, min(n - 1, 12) + 1))
+        nbr, _ = SpatialIndex(pts).query_bulk(pts, k_g, exclude=np.arange(n))
+        edges = graph_from_neighbors(nbr)
+        k_l = int(rng.integers(1, 20))
+        scores = rng.integers(0, k_l + 1, n) / k_l
+        forest = spanning_forest(edges, scores)
+        components = connected_components(np.ones(n, dtype=bool), edges).max() + 1
+        assert forest.shape == (n - components, 2), case
+        levels = np.unique(scores)
+        for lam in (0.0, *levels, *(levels[:-1] + levels[1:]) / 2, levels[-1] + 1 / k_l):
+            want = connected_components(*core_subgraph(edges, scores, lam))
+            got = connected_components(*core_subgraph(forest, scores, lam))
+            assert np.array_equal(got, want), (case, lam)
 
 
 # ---------------------------------------------------------------- finalize
@@ -313,6 +340,30 @@ def test_config_validation_messages():
         bdmbc_fit(pts, BdmbcConfig(k_d=5, k_l=10, b=1, rho=1.0, k_g=5, lam=1.5))
     with pytest.raises(ValueError, match="rho"):
         bdmbc_fit(pts, BdmbcConfig(k_d=5, k_l=10, b=1, rho=0.0, k_g=5))
+
+
+@pytest.mark.parametrize("name", ["k_d", "k_l", "b", "s", "k_g", "min_cluster_size", "seed"])
+def test_config_rejects_non_integers(name):
+    # 5.7 and 5.0 used to be truncated or fail deep inside a stage, and True
+    # ran as 1; numpy integers stay accepted
+    pts = _rng(1, 36).random((50, 2))
+    base = dict(k_d=3, k_l=10, b=2, s=25, k_g=5, min_cluster_size=4, seed=1)
+    # None is the default of s and min_cluster_size, so only the others
+    # reject it
+    nones = () if name in ("s", "min_cluster_size") else (None,)
+    for bad in (5.7, 5.0, True, np.bool_(True), "5", *nones):
+        with pytest.raises(ValueError, match=f"{name} must be an integer"):
+            bdmbc_fit(pts, BdmbcConfig(**{**base, name: bad}))
+    want = bdmbc_fit(pts, BdmbcConfig(**base))
+    got = bdmbc_fit(pts, BdmbcConfig(**{**base, name: np.int64(base[name])}))
+    assert np.array_equal(got.labels, want.labels)
+    assert np.array_equal(got.plls, want.plls)
+    plan = dict(b=2, s=25, k_d=3, seed=1)
+    if name in plan:
+        for bad in (5.7, True):
+            with pytest.raises(ValueError, match=f"{name} must be an integer"):
+                BaggingPlan(**{**plan, name: bad}).validate(50)
+        BaggingPlan(**{**plan, name: np.int32(plan[name])}).validate(50)
 
 
 def test_single_point_degenerate():

@@ -234,8 +234,9 @@ def test_one_thread_starts_no_thread(blob_csv, monkeypatch):
 
 
 def test_grid_table_from_pairwise_order_equals_query(monkeypatch):
-    # the grid indexes its n points once and queries them once, n - 1 wide
-    # for the rank table; a table sliced from the brute-force pairwise order
+    # the grid indexes its n points once and queries them once, as wide as
+    # the rank table reaches, k_d + n - s = 9 + 300 - 120 = 189 columns at
+    # rho=0.4, kd=9; a table sliced from the brute-force pairwise order
     # gives the same rows.  A 0.25 grid makes ties, and rho=1 adds cells at
     # s == n, whose k-distances are then columns of the one query
     from bdmbc.knn import SpatialIndex
@@ -261,7 +262,7 @@ def test_grid_table_from_pairwise_order_equals_query(monkeypatch):
     monkeypatch.setattr(SpatialIndex, "query_bulk", record_query)
     queried = grid_search(ds, grid, seed=1)
     assert built.count(ds.n) == 1, built
-    assert full_queries == [(ds.n, ds.n - 1)]
+    assert full_queries == [(ds.n, 189)]
 
     order, sorted_dist = pairwise_order(ds.points)
 
@@ -398,6 +399,42 @@ def test_cli_rejects_json_that_is_not_an_object_of_lists(tmp_path, blob_csv, cap
             assert code == 2, bad
             assert "config must be a JSON object" in capsys.readouterr().err
     assert not (tmp_path / "g.csv").exists() and not (tmp_path / "b.json").exists()
+
+
+def test_cli_rejects_non_integer_hyperparameters(tmp_path, blob_csv, capsys):
+    # a bench config kd of 5.7 fitted as 5 and a grid kd of [5.7] ran as
+    # kd=5, both exiting 0; a bench config kd of [5] exited 4
+    path, _ = blob_csv
+    spec = tmp_path / "spec.json"
+    good = tmp_path / "good.json"
+    good.write_text(json.dumps({"kd": 5, "kl": 30, "b": 2, "rho": 0.5}))
+    for bad, message in (({"kd": 5.7, "kl": 30}, "kd=5.7 is not an integer"),
+                         ({"kd": [5], "kl": 30}, "kd=[5] is not an integer"),
+                         ({"kd": 5, "kl": 30, "b": True}, "b=True is not an integer"),
+                         ({"kd": 5, "kl": 30, "seed": 0.5}, "seed=0.5 is not an integer"),
+                         ({"kd": 5, "kl": 30, "rho": [0.5]}, "rho=[0.5] is not a number")):
+        spec.write_text(json.dumps(bad))
+        capsys.readouterr()
+        code = main(["bench", str(path), "--config-a", str(spec),
+                     "--config-b", str(good), "--out", str(tmp_path / "b.json")])
+        assert code == 2, bad
+        assert message in capsys.readouterr().err, bad
+    grid = ["grid", str(path), "--label-column", "2", "--grid", str(spec),
+            "--out", str(tmp_path / "g.csv")]
+    for bad, message in (({"kd": [5.7], "kl": [30]}, "kd=5.7 is not an integer"),
+                         ({"kd": [5], "kl": [30], "kg": [False]}, "kg=False is not an integer"),
+                         ({"kd": [5], "kl": [30], "b": ["2"]}, "b='2' is not an integer")):
+        spec.write_text(json.dumps(bad))
+        capsys.readouterr()
+        assert main(grid) == 2, bad
+        assert message in capsys.readouterr().err, bad
+    assert not (tmp_path / "g.csv").exists() and not (tmp_path / "b.json").exists()
+    # an integral float is still the integer it names
+    spec.write_text(json.dumps({"kd": 5.0, "kl": 30.0, "b": 2, "rho": 0.5}))
+    assert main(["bench", str(path), "--config-a", str(spec), "--config-b", str(good),
+                 "--out", str(tmp_path / "b.json")]) == 0
+    report = json.loads((tmp_path / "b.json").read_text())
+    assert report["a"]["config"] == report["b"]["config"]
 
 
 def test_cli_grid(tmp_path, blob_csv):

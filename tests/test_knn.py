@@ -316,11 +316,15 @@ def oracle_table(points, queries, k, exclude):
 def test_query_fuzz_against_brute_force(monkeypatch):
     # seeded hostile sets, k from 1 to the largest allowed: every list and
     # every distance bit for bit equal to the (distance, index) oracle,
-    # through tree windows (first and widened) and windows of every location
+    # through tree windows (first and widened) and windows of every location.
+    # Odd cases walk the tree for any first window short of every location,
+    # as small sets would otherwise mostly skip it
     rng = _rng(14, 113)
     windows = record_windows(monkeypatch)
     full = []
+    share = knn._WHOLE_WINDOW_SHARE
     for case in range(150):
+        monkeypatch.setattr(knn, "_WHOLE_WINDOW_SHARE", 1.0 if case % 2 else share)
         kind = ("continuous", "duplicates", "signed-zero", "lattice", "offset")[case % 5]
         n = int(rng.integers(2, 90))
         d = int(rng.integers(1, 5))
@@ -344,10 +348,13 @@ def test_query_fuzz_against_brute_force(monkeypatch):
 
 
 def test_full_window_skips_the_tree():
-    # k = n - 1 needs every location: the window, here in several blocks,
-    # takes them all without walking the index's tree
+    # k = n - 1 needs every location, and a first window of at least a
+    # quarter of them (kq = k + 1 + _TIE_PAD = 150 of 600 with exclusion,
+    # k + _TIE_PAD without) takes them all as well: the window, here in
+    # several blocks, takes every location without walking the index's tree
     pts = _rng(15, 114).random((600, 1))
     n = len(pts)
+    off = _rng(17, 115).random((50, 1))
     idx = SpatialIndex(pts)
 
     class NoWalk:
@@ -357,8 +364,31 @@ def test_full_window_skips_the_tree():
             raise AssertionError("the tree was walked")
 
     idx._tree = NoWalk()
-    got = idx.query_bulk(idx.points, n - 1, exclude=np.arange(n))
-    want = oracle_table(pts, pts, n - 1, np.arange(n))
+    for queries, k, exclude in ((idx.points, n - 1, np.arange(n)),
+                                (idx.points, n // 4 - 1 - _TIE_PAD, np.arange(n)),
+                                (off, n // 4 - _TIE_PAD, None)):
+        got = idx.query_bulk(queries, k, exclude=exclude)
+        want = oracle_table(pts, queries, k, exclude)
+        assert np.array_equal(got[0], want[0]), k
+        assert np.array_equal(got[1].view(np.uint64), want[1].view(np.uint64)), k
+
+
+@pytest.mark.parametrize("locations, first", [(238, 59), (236, 236)])
+def test_quantized_ties_shape_keeps_its_tree_window(locations, first, monkeypatch):
+    # the quantized-ties fit's k=50 table query, over 238 locations: its
+    # first window of kq = 50 + 1 + _TIE_PAD = 59 holds less than a quarter
+    # of them (4 * 59 = 236), so it walks the tree; over 236 it would not
+    rng = _rng(18, 116)
+    sites = np.unique(np.round(rng.random((4 * locations, 2)) * 40) / 4, axis=0)[:locations]
+    assert len(sites) == locations
+    pts = sites[rng.integers(locations, size=1000)]
+    pts[:locations] = sites  # every site holds a point
+    n = len(pts)
+    windows = record_windows(monkeypatch)
+    idx = SpatialIndex(pts)
+    got = idx.query_bulk(idx.points, 50, exclude=np.arange(n))
+    assert windows[0][:2] == (51, first)
+    want = oracle_table(pts, pts, 50, np.arange(n))
     assert np.array_equal(got[0], want[0])
     assert np.array_equal(got[1].view(np.uint64), want[1].view(np.uint64))
 
