@@ -16,9 +16,9 @@ import sys
 import numpy as np
 
 from . import __version__
-from .cluster import BdmbcConfig, bdmbc_fit
-from .data import DataError, dataset_from_spec, load_csv, parse_int, parse_label, scale_minmax
-from .grid import GRID_COLUMNS, grid_search
+from .cluster import PARAMETERS, BdmbcConfig, bdmbc_fit
+from .data import DataError, dataset_from_spec, load_csv, parse_label, scale_minmax
+from .grid import GRID_COLUMNS, SHARED, SWEPT, grid_search
 from .metrics import metric_report
 
 EXIT_USAGE = 2
@@ -31,44 +31,6 @@ def _load_dataset(args):
     if args.scale:
         ds = scale_minmax(ds)
     return ds
-
-
-def _config_from_mapping(m):
-    if not isinstance(m, dict):
-        raise DataError(f"config must be a JSON object, got {m!r}")
-
-    def integer(key, default=None):
-        value = m.get(key, default)
-        return None if value is None else parse_int(value, key)
-
-    def number(key, default):
-        value = m.get(key, default)
-        try:
-            return float(value)
-        except TypeError:
-            raise DataError(f"{key}={value!r} is not a number") from None
-
-    return BdmbcConfig(
-        k_d=parse_int(m["kd"], "kd"),
-        k_l=parse_int(m["kl"], "kl"),
-        b=integer("b", 10),
-        rho=number("rho", 0.1),
-        s=integer("s"),
-        k_g=integer("kg", 15),
-        lam=number("lambda", 0.5),
-        min_cluster_size=integer("min_cluster_size"),
-        seed=integer("seed", 0),
-    )
-
-
-def _config_from_args(args):
-    if args.kd is None or args.kl is None:
-        raise DataError("--kd and --kl are required (no defaults)")
-    return _config_from_mapping({
-        "kd": args.kd, "kl": args.kl, "b": args.b, "rho": args.rho, "s": args.s,
-        "kg": args.kg, "lambda": getattr(args, "lambda"),
-        "min_cluster_size": args.min_cluster_size, "seed": args.seed,
-    })
 
 
 def _write_result(result, out_prefix):
@@ -99,8 +61,7 @@ def cmd_gen(args):
 
 def cmd_cluster(args):
     ds = _load_dataset(args)
-    config = _config_from_args(args)
-    result = bdmbc_fit(ds, config)
+    result = bdmbc_fit(ds, BdmbcConfig.from_dict(vars(args)))
     _write_result(result, args.out)
     print(f"num_clusters={result.num_clusters} modes={len(result.modes)}")
     for stage, seconds in result.timings.items():
@@ -117,8 +78,8 @@ def cmd_grid(args):
     if not isinstance(spec, dict):
         raise DataError(f"{args.grid}: grid spec must be a JSON object")
     metric = spec.get("metric", "ari")
-    rows = grid_search(ds, spec, metric=metric, seed=args.seed,
-                       min_cluster_size=args.min_cluster_size)
+    shared = {name: value for name, value in vars(args).items() if name in SHARED}
+    rows = grid_search(ds, spec, metric=metric, **shared)
     with open(args.out, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(GRID_COLUMNS)
@@ -126,8 +87,7 @@ def cmd_grid(args):
             writer.writerow([row[c] for c in GRID_COLUMNS])
     best = rows[0]
     print(f"best {metric}={best[metric]:.4f} at "
-          f"b={best['b']} rho={best['rho']} kd={best['kd']} kl={best['kl']} "
-          f"kg={best['kg']} lambda={best['lambda']}")
+          + " ".join(f"{name}={best[name]}" for name in SWEPT))
     return 0
 
 
@@ -149,9 +109,9 @@ def cmd_bench(args):
         # a one-point fit returns before any stage runs, so it has no timings
         raise DataError(f"{args.data}: bench needs at least 2 points, got {ds.n}")
     with open(args.config_a) as fh:
-        config_a = _config_from_mapping(json.load(fh))
+        config_a = BdmbcConfig.from_dict(json.load(fh))
     with open(args.config_b) as fh:
-        config_b = _config_from_mapping(json.load(fh))
+        config_b = BdmbcConfig.from_dict(json.load(fh))
     a = _bench_one(ds, config_a)
     b = _bench_one(ds, config_b)
     ratio = a["timings"]["bagged_kdist"] / max(b["timings"]["bagged_kdist"], 1e-12)
@@ -198,16 +158,13 @@ def _add_data_args(p):
     p.add_argument("--scale", action="store_true", help="min-max scale each dimension")
 
 
-def _add_config_args(p):
-    p.add_argument("--b", type=int, default=10)
-    p.add_argument("--rho", type=float, default=0.1)
-    p.add_argument("--s", type=int, default=None, help="explicit subsample size")
-    p.add_argument("--kd", type=int, default=None, help="neighbor count for k-distance")
-    p.add_argument("--kl", type=int, default=None, help="neighborhood size for scores")
-    p.add_argument("--kg", type=int, default=15)
-    p.add_argument("--lambda", type=float, default=0.5)
-    p.add_argument("--min-cluster-size", type=int, default=None)
-    p.add_argument("--seed", type=int, default=0)
+def _add_config_args(p, names=PARAMETERS):
+    """One --flag per named hyperparameter, typed as cluster.PARAMETERS says;
+    a flag left out stays out of the namespace, so it keeps its default."""
+    for name in names:
+        field, integer = PARAMETERS[name]
+        p.add_argument("--" + name.replace("_", "-"), type=int if integer else float,
+                       default=argparse.SUPPRESS, help=f"BdmbcConfig.{field}")
 
 
 def build_parser():
@@ -229,8 +186,7 @@ def build_parser():
     p = sub.add_parser("grid", help="grid-search hyperparameters")
     _add_data_args(p)
     p.add_argument("--grid", required=True, help="JSON grid spec path")
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--min-cluster-size", type=int, default=None)
+    _add_config_args(p, SHARED)
     p.add_argument("--out", required=True, help="output CSV path")
     p.set_defaults(func=cmd_grid)
 

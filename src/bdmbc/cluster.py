@@ -17,7 +17,7 @@ descending cluster size.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
+from dataclasses import MISSING, dataclass, field, fields, replace
 
 import numpy as np
 from scipy.sparse import coo_matrix
@@ -25,12 +25,28 @@ from scipy.sparse.csgraph import connected_components as _cc
 from scipy.sparse.csgraph import minimum_spanning_tree
 
 from .bagging import BaggingPlan, _table_width, bagged_k_distance, check_integers
-from .data import _points
+from .data import DataError, _points, parse_number
 from .knn import SpatialIndex
 from .plls import mode_set, plls_from_neighbors
 # empirical_plls stays importable from this module, where the benchmark's
 # tracer wraps the stages; bdmbc_fit slices one neighbor table instead.
 from .plls import empirical_plls  # noqa: F401
+
+
+# Every hyperparameter of a config: JSON name -> (BdmbcConfig field,
+# integer?).  to_dict, from_dict, the CLI's flags and the grid's value
+# lists all read it.
+PARAMETERS = {
+    "b": ("b", True),
+    "rho": ("rho", False),
+    "s": ("s", True),
+    "kd": ("k_d", True),
+    "kl": ("k_l", True),
+    "kg": ("k_g", True),
+    "lambda": ("lam", False),
+    "min_cluster_size": ("min_cluster_size", True),
+    "seed": ("seed", True),
+}
 
 
 @dataclass(frozen=True)
@@ -66,32 +82,53 @@ class BdmbcConfig:
         """The bagging rounds this config runs on n points."""
         return BaggingPlan(b=self.b, s=self.subsample_size(n), k_d=self.k_d, seed=self.seed)
 
-    def validate(self, n):
-        check_integers(k_l=self.k_l, k_g=self.k_g,
-                       min_cluster_size=self.effective_min_cluster_size())
-        self.plan(n).validate(n)
-        if not 1 <= self.k_l <= n - 1:
-            raise ValueError(f"k_l={self.k_l} out of range [1, {n - 1}]")
-        if not 1 <= self.k_g <= n - 1:
-            raise ValueError(f"k_g={self.k_g} out of range [1, {n - 1}]")
+    def validate(self, n=None):
+        """ValueError for the first invalid hyperparameter.  Without n, only
+        the checks that hold for any number of points run."""
+        for name, (f, integer) in PARAMETERS.items():
+            if not integer:  # check_integers below also rejects a 5.0
+                parse_number(getattr(self, f), name, False)
+        mcs = self.effective_min_cluster_size()
+        # subsample_size checks rho, unless s is given
+        check_integers(b=self.b, s=self.subsample_size(1), k_d=self.k_d, k_l=self.k_l,
+                       k_g=self.k_g, min_cluster_size=mcs, seed=self.seed)
+        for name, value in (("b", self.b), ("k_d", self.k_d), ("k_l", self.k_l),
+                            ("k_g", self.k_g), ("min_cluster_size", mcs)):
+            if value < 1:
+                raise ValueError(f"{name} must be >= 1 ({name}={value})")
         if not 0.0 <= self.lam <= 1.0:
             raise ValueError(f"lambda={self.lam} must lie in [0, 1]")
-        if self.effective_min_cluster_size() < 1:
-            raise ValueError("min_cluster_size must be >= 1")
+        if n is None:
+            return
+        self.plan(n).validate(n)
+        if self.k_l > n - 1:
+            raise ValueError(f"k_l={self.k_l} out of range [1, {n - 1}]")
+        if self.k_g > n - 1:
+            raise ValueError(f"k_g={self.k_g} out of range [1, {n - 1}]")
 
     def to_dict(self, n=None):
-        d = {
-            "b": self.b,
-            "rho": self.rho,
-            "s": self.s if self.s is not None else (self.subsample_size(n) if n else None),
-            "kd": self.k_d,
-            "kl": self.k_l,
-            "kg": self.k_g,
-            "lambda": self.lam,
-            "min_cluster_size": self.effective_min_cluster_size(),
-            "seed": self.seed,
-        }
-        return d
+        """The config by JSON name, with s resolved on n points (if given)
+        and min_cluster_size resolved."""
+        s = self.subsample_size(n) if n else self.s
+        resolved = replace(self, s=s, min_cluster_size=self.effective_min_cluster_size())
+        return {name: getattr(resolved, f) for name, (f, _) in PARAMETERS.items()}
+
+    @classmethod
+    def from_dict(cls, m):
+        """The config a JSON object describes (to_dict's inverse), each value
+        parsed by data.parse_number.  A parameter left out, or null where its
+        default is null, keeps its default; other keys are ignored."""
+        if not isinstance(m, dict):
+            raise DataError(f"config must be a JSON object, got {m!r}")
+        defaults = {f.name: f.default for f in fields(cls)}
+        values = {f: parse_number(m[name], name, integer)
+                  for name, (f, integer) in PARAMETERS.items()
+                  if name in m and not (m[name] is None and defaults[f] is None)}
+        missing = [name for name, (f, _) in PARAMETERS.items()
+                   if f not in values and defaults[f] is MISSING]
+        if missing:
+            raise DataError(f"config needs {' and '.join(missing)}: no default")
+        return cls(**values)
 
 
 @dataclass(frozen=True)
@@ -325,6 +362,7 @@ def bdmbc_fit(ds, config):
     points = _points(ds)
     n = points.shape[0]
     if n == 1:
+        config.validate()  # every check that holds for any n
         return ClusterResult(
             labels=np.zeros(1, dtype=np.int64),
             core_mask=np.zeros(1, dtype=bool),

@@ -134,13 +134,19 @@ def parse_label(text, where):
     return value
 
 
-def parse_int(value, where):
-    """The int a JSON value holds, else a DataError naming where: an int, a
-    numpy integer or a float with no fraction; bools are not integers."""
-    if isinstance(value, float) and value.is_integer():
-        return int(value)
-    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
-        raise DataError(f"{where}={value!r} is not an integer")
+def parse_number(value, where, integer):
+    """The int (if integer) or float a JSON value holds, else a DataError
+    naming where.  Ints, floats and their numpy types are numbers, and an
+    integer is one with no fraction; bools, strings, lists and null are not."""
+    if isinstance(value, bool) or not isinstance(value, (int, float, np.integer, np.floating)):
+        raise DataError(f"{where}={value!r} is not {'an integer' if integer else 'a number'}")
+    if not integer:
+        try:
+            return float(value)
+        except OverflowError:  # an int past the float range
+            raise DataError(f"{where}={value!r} is out of range") from None
+    if isinstance(value, (float, np.floating)) and not float(value).is_integer():
+        raise DataError(f"{where}={value!r} is not an integer")  # nor inf and nan
     return int(value)
 
 

@@ -21,6 +21,7 @@ import itertools
 # connected_components and finalize stay importable from this module, where
 # the benchmark's tracer wraps the stages.
 from .cluster import (  # noqa: F401
+    PARAMETERS,
     BdmbcConfig,
     _bagged_and_table,
     _threshold,
@@ -33,61 +34,58 @@ from .cluster import (  # noqa: F401
     graph_from_neighbors,
     spanning_forest,
 )
-from .data import parse_int
-# worker_count stays importable here for callers that read the thread cap
-from .knn import ordered_map, worker_count  # noqa: F401
+from .data import parse_number
+from .knn import ordered_map
 from .metrics import metric_report
 from .plls import empirical_plls, plls_from_neighbors  # noqa: F401
 
 METRICS = ("ari", "nmi", "f1", "acc")
-GRID_COLUMNS = ("b", "rho", "kd", "kl", "kg", "lambda",
-                "ari", "nmi", "f1", "acc", "num_clusters")
+# the parameters a grid spec sweeps, in the rows' tie-breaking order, and
+# the ones every cell shares (bdmbc grid's flags); cluster.PARAMETERS
+# parses both
+SWEPT = ("b", "rho", "kd", "kl", "kg", "lambda")
+SHARED = ("seed", "min_cluster_size")
+GRID_COLUMNS = SWEPT + METRICS + ("num_clusters",)
 
 
-def _values(grid, name, default, integer=False):
-    """One parameter's values, as ints (data.parse_int) or floats;
-    ValueError unless they form such a list."""
-    values = grid.get(name, default)
+def _values(grid, name):
+    """One swept parameter's values, parsed as cluster.PARAMETERS says;
+    ValueError unless they form a nonempty list of such numbers."""
+    values = grid[name]
     reason = ""
     try:
         if not isinstance(values, (str, dict)):
-            return [parse_int(v, name) if integer else float(v) for v in values]
+            values = [parse_number(v, name, PARAMETERS[name][1]) for v in values]
+            if values:
+                return values
+            reason = ": it is empty"
     except (TypeError, ValueError) as exc:
         reason = f": {exc}"
     raise ValueError(f"grid parameter {name!r} needs a list of numbers, got {values!r}{reason}")
 
 
-def grid_search(ds, grid, metric="ari", seed=0, min_cluster_size=None):
+def grid_search(ds, grid, metric="ari", **shared):
     """Evaluate every grid combination; returns rows sorted by the metric.
 
-    grid: dict with value lists under any of 'b', 'rho', 'kd', 'kl',
-    'kg', 'lambda' (missing keys use single defaults).  Requires ground
-    truth labels on the dataset.  Cells with kd >= s or k_l > n - 1 are
-    skipped; any other value a single fit rejects raises before any cell
-    runs.  Deterministic ordering: descending metric, ties by lexicographic
+    grid: dict with value lists under any of SWEPT (kd and kl are
+    required); shared: values of any of SHARED for every cell.  A parameter
+    given neither way keeps BdmbcConfig's default.  Requires ground truth
+    labels on the dataset.  Cells with kd >= s or k_l > n - 1 are skipped;
+    any other value a single fit rejects raises before any cell runs.
+    Deterministic ordering: descending metric, ties by lexicographic
     parameter tuple.
     """
     if metric not in METRICS:
         raise ValueError(f"metric must be one of {METRICS}, got {metric!r}")
     if ds.labels is None:
         raise ValueError(f"metric {metric!r} requires ground-truth labels")
+    if not shared.keys() <= set(SHARED):
+        raise TypeError(f"grid_search() shares only {SHARED} among cells, got {sorted(shared)}")
     points = ds.points
     n = points.shape[0]
-    bs = _values(grid, "b", [10], integer=True)
-    rhos = _values(grid, "rho", [0.1])
-    kds = _values(grid, "kd", [], integer=True)
-    kls = _values(grid, "kl", [], integer=True)
-    kgs = _values(grid, "kg", [15], integer=True)
-    lams = _values(grid, "lambda", [0.5])
-    if not kds or not kls:
-        raise ValueError("grid must supply kd and kl value lists")
-    for name, values in (("b", bs), ("rho", rhos), ("kd", kds),
-                         ("kl", kls), ("kg", kgs), ("lambda", lams)):
-        if not values:
-            raise ValueError(f"empty value list for grid parameter {name!r}")
-    configs = [BdmbcConfig(k_d=kd, k_l=kl, b=b, rho=rho, k_g=kg, lam=lam,
-                           min_cluster_size=min_cluster_size, seed=seed)
-               for b, rho, kd, kl, kg, lam in itertools.product(bs, rhos, kds, kls, kgs, lams)]
+    swept = {name: _values(grid, name) for name in SWEPT if name in grid}
+    configs = [BdmbcConfig.from_dict({**shared, **dict(zip(swept, cell))})
+               for cell in itertools.product(*swept.values())]
     # cells with kd >= s or k_l > n - 1 are skipped, but not all of them
     configs = [c for c in configs if c.k_d < c.subsample_size(n)]
     if not configs:
@@ -100,6 +98,7 @@ def grid_search(ds, grid, metric="ari", seed=0, min_cluster_size=None):
         c.validate(n)
         by_scores.setdefault((c.plan(n), c.k_l), []).append(c)
     plans = list(dict.fromkeys(plan for plan, _ in by_scores))
+    lams = list(dict.fromkeys(c.lam for c in configs))
     width = max(max(c.k_l, c.k_g) for c in configs)
     bagged, nbr = _bagged_and_table(points, plans, width, {})
     bagged = dict(zip(plans, bagged))
@@ -107,17 +106,16 @@ def grid_search(ds, grid, metric="ari", seed=0, min_cluster_size=None):
     def report(cell):
         c, scores, first, forest = cell
         labels, _, num = _threshold(points, nbr, first, forest, scores, c, {})
-        return {"b": c.b, "rho": c.rho, "kd": c.k_d, "kl": c.k_l, "kg": c.k_g,
-                "lambda": c.lam, **metric_report(ds.labels, labels), "num_clusters": num}
+        return {**{k: v for k, v in c.to_dict().items() if k in SWEPT},
+                **metric_report(ds.labels, labels), "num_clusters": num}
 
     rows = []
     for (plan, kl), cells in by_scores.items():
         scores = plls_from_neighbors(bagged[plan], nbr[:, :kl])
         first = first_scoring(scores, nbr, lams)
         forests = {kg: spanning_forest(graph_from_neighbors(nbr[:, :kg]), scores)
-                   for kg in kgs}
+                   for kg in dict.fromkeys(c.k_g for c in cells)}
         rows += ordered_map(report, [(c, scores, first[:, lams.index(c.lam)], forests[c.k_g])
                                      for c in cells])
-    rows.sort(key=lambda r: (-r[metric], r["b"], r["rho"], r["kd"],
-                             r["kl"], r["kg"], r["lambda"]))
+    rows.sort(key=lambda r: (-r[metric], *(r[name] for name in SWEPT)))
     return rows

@@ -334,9 +334,3 @@ class SpatialIndex:
         np.cumsum(padded[:, 1:] != padded[:, :-1], axis=1, out=key[:, 1:])
         order = np.argsort(key * (self.n + 1) + nbr, axis=1, kind="stable")[:, :kk]
         return np.take_along_axis(nbr, order, axis=1), np.take_along_axis(padded, order, axis=1)
-
-
-def k_distances(idx, k):
-    """Vector of k-distances for every indexed point (self excluded)."""
-    _, dist = idx.query_bulk(idx.points, k, exclude=np.arange(idx.n))
-    return dist[:, -1].copy()

@@ -18,6 +18,12 @@ def dmbc_plls(points, k_d, k_l):
     return (kdist[order[:, :k_l]] >= kdist[:, None]).sum(axis=1) / k_l
 
 
+def k_distances(idx, k):
+    """Vector of k-distances for every indexed point (self excluded)."""
+    _, dist = idx.query_bulk(idx.points, k, exclude=np.arange(idx.n))
+    return dist[:, -1].copy()
+
+
 def contingency_by_add_at(true_labels, pred_labels):
     """(classes, clusters) int64 counts, one unbuffered np.add.at per point,
     classes and clusters numbered in ascending label order."""

@@ -36,8 +36,8 @@ from bdmbc import (
     scale_minmax,
 )
 from bdmbc.data import _rng
-from bdmbc.knn import SpatialIndex, k_distances
-from oracles import dmbc_plls
+from bdmbc.knn import SpatialIndex
+from oracles import dmbc_plls, k_distances
 
 
 def report(name, ok, detail):

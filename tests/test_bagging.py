@@ -21,8 +21,8 @@ from bdmbc.bagging import (
     unit_ball_volume,
 )
 from bdmbc.data import Dataset, _rng, gen_multiblobs
-from bdmbc.knn import SpatialIndex, k_distances
-from oracles import hostile_set, pairwise_order
+from bdmbc.knn import SpatialIndex
+from oracles import hostile_set, k_distances, pairwise_order
 
 
 def exact_weights(n, s, k):

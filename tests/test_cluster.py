@@ -3,8 +3,10 @@
 Oracles: brute-force edge enumeration and BFS component labeling.
 """
 
+import json
 import time
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -370,6 +372,42 @@ def test_single_point_degenerate():
     res = bdmbc_fit(np.zeros((1, 3)), BdmbcConfig(k_d=1, k_l=1))
     assert res.num_clusters == 1
     assert np.array_equal(res.labels, [0])
+
+
+def test_single_point_fit_checks_its_config():
+    # a one-point fit returned before any check, so it took and reported
+    # kd 5.7, kl True and b 2.5
+    bad = [dict(k_d=5.7, k_l=True, b=2.5), dict(k_d=1, k_l=1, seed=0.5),
+           dict(k_d=1, k_l=1, s=np.bool_(True)), dict(k_d=0, k_l=1), dict(k_d=1, k_l=0),
+           dict(k_d=1, k_l=1, b=0), dict(k_d=1, k_l=1, k_g=0),
+           dict(k_d=1, k_l=1, min_cluster_size=0), dict(k_d=1, k_l=1, lam=1.5),
+           dict(k_d=1, k_l=1, rho=0.0), dict(k_d=1, k_l=1, rho=float("nan")),
+           dict(k_d=1, k_l=1, lam=True), dict(k_d=1, k_l=1, rho="0.5")]
+    for fields in bad:
+        with pytest.raises(ValueError):
+            bdmbc_fit(np.zeros((1, 2)), BdmbcConfig(**fields))
+    # checks that need n > 1 do not run: kd 5 >= s = 1 and kl 5 > n - 1
+    res = bdmbc_fit(np.zeros((1, 2)), BdmbcConfig(k_d=5, k_l=5))
+    assert res.config["s"] == 1 and res.num_clusters == 1
+
+
+@pytest.mark.parametrize("s", [None, 40])
+@pytest.mark.parametrize("min_cluster_size", [None, 7])
+def test_config_dict_round_trip(s, min_cluster_size):
+    c = BdmbcConfig(k_d=6, k_l=25, b=3, rho=0.35, s=s, k_g=9, lam=0.45,
+                    min_cluster_size=min_cluster_size, seed=11)
+    for n in (None, 120):
+        d = c.to_dict(n)
+        assert BdmbcConfig.from_dict(d).to_dict(n) == d
+        assert json.loads(json.dumps(d)) == d  # JSON names and values
+    # without n, to_dict leaves s unset when it was, and from_dict keeps
+    # every field
+    if s is not None:
+        assert BdmbcConfig.from_dict(c.to_dict()) == replace(
+            c, min_cluster_size=c.effective_min_cluster_size())
+    # a parameter left out keeps the dataclass default
+    assert BdmbcConfig.from_dict({"kd": 6, "kl": 25}) == BdmbcConfig(k_d=6, k_l=25)
+    assert BdmbcConfig.from_dict({"kd": 5.0, "kl": 25, "s": None}) == BdmbcConfig(k_d=5, k_l=25)
 
 
 def test_fit_result_contract():

@@ -9,7 +9,8 @@ import pytest
 
 from bdmbc.cli import main
 from bdmbc.data import Dataset, gen_multiblobs
-from bdmbc.grid import GRID_COLUMNS, METRICS, grid_search, worker_count
+from bdmbc.grid import GRID_COLUMNS, METRICS, grid_search
+from bdmbc.knn import worker_count
 from bdmbc.metrics import metric_report
 from bdmbc.cluster import BdmbcConfig, bdmbc_fit
 
@@ -412,7 +413,14 @@ def test_cli_rejects_non_integer_hyperparameters(tmp_path, blob_csv, capsys):
                          ({"kd": [5], "kl": 30}, "kd=[5] is not an integer"),
                          ({"kd": 5, "kl": 30, "b": True}, "b=True is not an integer"),
                          ({"kd": 5, "kl": 30, "seed": 0.5}, "seed=0.5 is not an integer"),
-                         ({"kd": 5, "kl": 30, "rho": [0.5]}, "rho=[0.5] is not a number")):
+                         ({"kd": 5, "kl": 30, "rho": [0.5]}, "rho=[0.5] is not a number"),
+                         # the first two fitted at rho 1.0 and lambda 1.0
+                         ({"kd": 5, "kl": 30, "rho": True}, "rho=True is not a number"),
+                         ({"kd": 5, "kl": 30, "lambda": True}, "lambda=True is not a number"),
+                         ({"kd": 5, "kl": 30, "lambda": [True]}, "lambda=[True] is not a number"),
+                         ({"kd": 5, "kl": 30, "rho": ["0.5"]}, "rho=['0.5'] is not a number"),
+                         # float() of an int this large raised OverflowError: exit 4
+                         ({"kd": 5, "kl": 30, "rho": 10**400}, "is out of range")):
         spec.write_text(json.dumps(bad))
         capsys.readouterr()
         code = main(["bench", str(path), "--config-a", str(spec),
@@ -423,7 +431,13 @@ def test_cli_rejects_non_integer_hyperparameters(tmp_path, blob_csv, capsys):
             "--out", str(tmp_path / "g.csv")]
     for bad, message in (({"kd": [5.7], "kl": [30]}, "kd=5.7 is not an integer"),
                          ({"kd": [5], "kl": [30], "kg": [False]}, "kg=False is not an integer"),
-                         ({"kd": [5], "kl": [30], "b": ["2"]}, "b='2' is not an integer")):
+                         ({"kd": [5], "kl": [30], "b": ["2"]}, "b='2' is not an integer"),
+                         # the last three ran their cells at lambda 1.0, rho 1.0
+                         # and rho 0.5
+                         ({"kd": [5], "kl": [30], "rho": True}, "'rho' needs a list of numbers"),
+                         ({"kd": [5], "kl": [30], "lambda": [True]}, "lambda=True is not a number"),
+                         ({"kd": [5], "kl": [30], "rho": [True]}, "rho=True is not a number"),
+                         ({"kd": [5], "kl": [30], "rho": ["0.5"]}, "rho='0.5' is not a number")):
         spec.write_text(json.dumps(bad))
         capsys.readouterr()
         assert main(grid) == 2, bad
@@ -435,6 +449,26 @@ def test_cli_rejects_non_integer_hyperparameters(tmp_path, blob_csv, capsys):
                  "--out", str(tmp_path / "b.json")]) == 0
     report = json.loads((tmp_path / "b.json").read_text())
     assert report["a"]["config"] == report["b"]["config"]
+
+
+def test_every_front_end_keeps_the_config_defaults(tmp_path, blob_csv):
+    # flags, bench configs and grid specs that give only kd and kl build
+    # BdmbcConfig's defaults for the rest
+    path, ds = blob_csv
+    want = BdmbcConfig(k_d=5, k_l=30).to_dict(ds.n)
+    assert main(["cluster", str(path), "--kd", "5", "--kl", "30",
+                 "--out", str(tmp_path / "r")]) == 0
+    assert json.loads((tmp_path / "r.json").read_text())["config"] == want
+    config = tmp_path / "c.json"
+    config.write_text(json.dumps({"kd": 5, "kl": 30}))
+    assert main(["bench", str(path), "--config-a", str(config), "--config-b", str(config),
+                 "--out", str(tmp_path / "b.json")]) == 0
+    assert json.loads((tmp_path / "b.json").read_text())["a"]["config"] == want
+    (row,) = grid_search(ds, {"kd": [5], "kl": [30]})
+    assert {c: row[c] for c in ("b", "rho", "kd", "kl", "kg", "lambda")} == {
+        c: want[c] for c in ("b", "rho", "kd", "kl", "kg", "lambda")}
+    with pytest.raises(TypeError, match="shares only"):
+        grid_search(ds, {"kd": [5], "kl": [30]}, sed=1)
 
 
 def test_cli_grid(tmp_path, blob_csv):

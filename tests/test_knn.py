@@ -14,10 +14,9 @@ from bdmbc.knn import (
     _ROW_CHUNK,
     _TIE_PAD,
     SpatialIndex,
-    k_distances,
     ordered_map,
 )
-from oracles import hostile_set
+from oracles import hostile_set, k_distances
 
 
 def brute_knn(points, x, k, exclude_index=None):

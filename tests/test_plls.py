@@ -5,9 +5,9 @@ import pytest
 
 from bdmbc.bagging import BaggingPlan, bagged_k_distance
 from bdmbc.data import Dataset, GaussianMixture, _rng, gen_mixture
-from bdmbc.knn import SpatialIndex, k_distances
+from bdmbc.knn import SpatialIndex
 from bdmbc.plls import empirical_plls, mode_set
-from oracles import dmbc_plls
+from oracles import dmbc_plls, k_distances
 
 
 def brute_plls(points, bagged, k_l):
