@@ -3,12 +3,15 @@
 Pipeline: k_G-NN graph over all points, node-induced subgraph on
 scores >= lambda, weakly connected components (the components of the
 union-symmetrized graph), dissolution of undersized components, then each
-remaining point joins its nearest surviving core point.  That is the
-first point along its row of the shared neighbor table that scores >=
-lambda (first_scoring, built once per score vector for every lambda), if
-it survived dissolution; else the first surviving core point along the
-row; for a row holding none, the answer of a 1-NN query against the core
-points.
+remaining point joins its nearest surviving core point (nearest_core).
+connected_components labels a stack of lambda masks over one edge list in
+one call, so a grid gets every lambda's components from one call per
+graph.  A point's nearest core point is the first point along its row of
+the shared neighbor table that scores >= lambda (first_scoring, built once
+per score vector for every lambda), if it survived dissolution; else the
+first surviving core point along the row; for a row holding none, the
+answer of a 1-NN query against the core points.  It depends only on that
+column and the surviving core set, which grid cells at one lambda share.
 Everything is deterministic for a fixed seed; component IDs follow each
 component's smallest member index and final labels are ordered by
 descending cluster size.
@@ -201,32 +204,37 @@ def spanning_forest(edges, scores):
     return np.column_stack([forest.row, forest.col]).astype(np.int64)
 
 
-def connected_components(mask, edges):
-    """Provisional labels on the masked (core) points; -1 elsewhere.
+def connected_components(masks, edges):
+    """Provisional labels at each lambda: for each row of masks (the points
+    scoring >= that lambda), the components of the edges joining two of
+    its points, numbered from 0 on its points and -1 elsewhere.
 
-    edges join core points only.  They are read as directed and components
-    as weakly connected, so a directed k-NN edge list and its symmetrized
-    form give the same labels.  Component IDs are assigned in order of each
-    component's smallest member index.
+    Edges are read as directed and components as weakly connected, so a
+    directed k-NN edge list, its symmetrized form and its spanning_forest
+    give the same labels.  Every row's components come from one scipy call
+    on a layered graph, where node j * n + i is point i at row j; component
+    IDs are assigned, row by row, in order of each component's smallest
+    member index.  Returns (rows, n) labels, or (n,) for a 1-D mask.
     """
-    n = len(mask)
-    core = np.flatnonzero(mask)
-    labels = np.full(n, -1, dtype=np.int64)
-    if core.size == 0:
-        return labels
-    remap = np.full(n, -1, dtype=np.int64)
-    remap[core] = np.arange(core.size)
-    e = remap[edges]
-    adj = coo_matrix((np.ones(len(e)), (e[:, 0], e[:, 1])), shape=(core.size, core.size))
-    _, comp = _cc(adj, directed=True, connection="weak")
-    # relabel so that component IDs follow smallest member (core is sorted
-    # ascending, so first occurrence order is smallest-index order)
-    _, first = np.unique(comp, return_index=True)
-    order = np.argsort(first)
-    new_id = np.empty_like(order)
-    new_id[order] = np.arange(len(order))
-    labels[core] = new_id[comp]
-    return labels
+    masks = np.asarray(masks, dtype=bool)
+    stack = np.atleast_2d(masks)
+    rows, n = stack.shape
+    labels = np.full(stack.shape, -1, dtype=np.int64)
+    core = np.flatnonzero(stack)  # by row, then by ascending index
+    if core.size:
+        row, at = np.nonzero(stack[:, edges[:, 0]] & stack[:, edges[:, 1]])
+        layered = coo_matrix((np.ones(len(at)), (edges[at, 0] + row * n, edges[at, 1] + row * n)),
+                             shape=(rows * n, rows * n))
+        _, comp = _cc(layered, directed=True, connection="weak")
+        # a component's first occurrence in core is its smallest member;
+        # rank components in that order, then count from 0 within each row
+        _, first, comp = np.unique(comp[core], return_index=True, return_inverse=True)
+        order = np.argsort(first)
+        row_of = core[first[order]] // n  # ascending
+        new_id = np.empty_like(order)
+        new_id[order] = np.arange(len(order)) - np.searchsorted(row_of, row_of)
+        labels.reshape(-1)[core] = new_id[comp]
+    return labels if masks.ndim == 2 else labels[0]
 
 
 # Rows of the neighbor table that first_scoring and finalize scan at a
@@ -250,26 +258,44 @@ def first_scoring(scores, nbr, lams):
     return first
 
 
-def finalize(ds, provisional, core_mask, min_cluster_size, nbr, first):
-    """Dissolve undersized components and give each non-core point the
-    label of its nearest surviving core point.
+def nearest_core(points, nbr, first, core_mask):
+    """Each point's nearest point of core_mask under the (distance, index)
+    rule, itself for a core point; core_mask must hold a point.
 
     nbr is an exact self-excluded neighbor table of the points, any width,
     ordered by (distance, index), and first is each row's first neighbor
-    along it inside core_mask (before dissolution), or -1: a column of
-    first_scoring when core_mask is scores >= lambda.  A non-core point's
-    nearest core point is its first one if that survived dissolution; a
-    row whose first one was dissolved is scanned for its first surviving
-    core point; only rows left without one are queried against an index
-    over the core points, which numbers them in ascending index order and
-    so breaks ties the same way.
-    Returns (labels, final_core_mask, num_clusters) with labels reordered
-    by descending cluster size (ties by smallest member index).
+    along it inside a superset of core_mask, or -1: a column of
+    first_scoring when core_mask is what survived dissolution at that
+    lambda.  A point takes its first one if that is in core_mask; a row
+    whose first one is not is scanned for its first point of core_mask;
+    only rows left without one are queried against an index over the core
+    points, which numbers them in ascending index order and so breaks ties
+    the same way.
     """
-    points = _points(ds)
-    n = points.shape[0]
+    nearest = np.where(core_mask, np.arange(len(core_mask)), first)
+    rescan = np.flatnonzero(nearest >= 0)
+    rescan = rescan[~core_mask[nearest[rescan]]]
+    for lo in range(0, rescan.size, _FINALIZE_ROWS):
+        at = rescan[lo : lo + _FINALIZE_ROWS]
+        rows = nbr[at]
+        hit = core_mask[rows]
+        pos = np.arange(len(rows)), np.argmax(hit, axis=1)
+        nearest[at] = np.where(hit[pos], rows[pos], -1)
+    missing = np.flatnonzero(nearest < 0)
+    if missing.size:
+        core = np.flatnonzero(core_mask)
+        found, _ = SpatialIndex(points[core]).query_bulk(points[missing], 1)
+        nearest[missing] = core[found[:, 0]]
+    return nearest
+
+
+def _finalize(provisional, core_mask, min_cluster_size, nearest):
+    """finalize with nearest(final_core_mask) in place of nearest_core: the
+    one composition of the fit and of every grid cell, so that the cells of
+    one lambda can share nearest_core's answer for each surviving core set."""
     labels = np.asarray(provisional).copy()
     core_mask = np.asarray(core_mask).copy()
+    n = len(labels)
     member = np.flatnonzero(labels >= 0)
     small = np.bincount(labels[member]) < min_cluster_size
     dissolved = member[small[labels[member]]]
@@ -281,21 +307,7 @@ def finalize(ds, provisional, core_mask, min_cluster_size, nbr, first):
     # compact surviving IDs, then reorder by (descending size, smallest member)
     ids = np.unique(labels[core])
     labels[core] = np.searchsorted(ids, labels[core])
-    non_core = np.flatnonzero(~core_mask)
-    nearest = np.asarray(first)[non_core]
-    rescan = np.flatnonzero(nearest >= 0)
-    rescan = rescan[~core_mask[nearest[rescan]]]
-    for lo in range(0, rescan.size, _FINALIZE_ROWS):
-        at = rescan[lo : lo + _FINALIZE_ROWS]
-        rows = nbr[non_core[at]]
-        hit = core_mask[rows]
-        pos = np.arange(len(rows)), np.argmax(hit, axis=1)
-        nearest[at] = np.where(hit[pos], rows[pos], -1)
-    missing = np.flatnonzero(nearest < 0)
-    if missing.size:
-        found, _ = SpatialIndex(points[core]).query_bulk(points[non_core[missing]], 1)
-        nearest[missing] = core[found[:, 0]]
-    labels[non_core] = labels[nearest]
+    labels = labels[nearest(core_mask)]
     num = len(ids)
     sizes = np.bincount(labels, minlength=num)
     first_member = np.full(num, n, dtype=np.int64)
@@ -304,6 +316,19 @@ def finalize(ds, provisional, core_mask, min_cluster_size, nbr, first):
     rank = np.empty(num, dtype=np.int64)
     rank[order] = np.arange(num)
     return rank[labels], core_mask, num
+
+
+def finalize(ds, provisional, core_mask, min_cluster_size, nbr, first):
+    """Dissolve undersized components and give each non-core point the
+    label of its nearest surviving core point (see nearest_core for nbr
+    and first; first's superset is core_mask).
+
+    Returns (labels, final_core_mask, num_clusters) with labels reordered
+    by descending cluster size (ties by smallest member index).
+    """
+    points = _points(ds)
+    return _finalize(provisional, core_mask, min_cluster_size,
+                     lambda core: nearest_core(points, nbr, first, core))
 
 
 def _bagged_and_table(points, plans, width, timings):
@@ -331,24 +356,6 @@ def _bagged_and_table(points, plans, width, timings):
     else:
         timings["bagged_kdist"], timings["plls"] = t3 - t2, t2 - t1
     return bagged, table[0][:, :width]
-
-
-def _threshold(points, nbr, first, edges, scores, config, timings):
-    """finalize's (labels, final_core_mask, num_clusters) at config.lam: the
-    threshold stage of a fit and of every grid cell, on the neighbor table
-    nbr that the edges were sliced from (a grid cell passes their
-    spanning_forest); first is nbr's first_scoring column at config.lam.
-    timings gets "components" (core subgraph and its components) and adds
-    to "finalize"."""
-    t0 = time.perf_counter()
-    mask, core_edges = core_subgraph(edges, scores, config.lam)
-    provisional = connected_components(mask, core_edges)
-    timings["components"] = time.perf_counter() - t0
-
-    t0 = time.perf_counter()
-    out = finalize(points, provisional, mask, config.effective_min_cluster_size(), nbr, first)
-    timings["finalize"] = timings.get("finalize", 0.0) + time.perf_counter() - t0
-    return out
 
 
 def bdmbc_fit(ds, config):
@@ -387,9 +394,15 @@ def bdmbc_fit(ds, config):
     timings["graph"] = time.perf_counter() - t0
 
     t0 = time.perf_counter()
+    mask = scores >= config.lam
+    provisional = connected_components(mask, edges)
+    timings["components"] = time.perf_counter() - t0
+
+    t0 = time.perf_counter()
     first = first_scoring(scores, nbr, [config.lam])[:, 0]
+    labels, final_core, num = finalize(points, provisional, mask,
+                                       config.effective_min_cluster_size(), nbr, first)
     timings["finalize"] = time.perf_counter() - t0
-    labels, final_core, num = _threshold(points, nbr, first, edges, scores, config, timings)
     modes = mode_set(scores)
     modes = modes[final_core[modes]]  # modes in dissolved components drop out
     return ClusterResult(

@@ -309,11 +309,10 @@ def dataset_from_spec(spec):
     if not isinstance(spec, dict) or "kind" not in spec:
         raise DataError("generator spec must be an object with a 'kind' field")
     kind = spec["kind"]
-    try:
-        n = int(spec["n"])
-        seed = int(spec.get("seed", 0))
-    except (KeyError, TypeError, ValueError) as exc:
-        raise DataError(f"bad generator spec: {exc}") from exc
+    if "n" not in spec:
+        raise DataError("bad generator spec: 'n' is missing")
+    n = parse_number(spec["n"], "n", True)
+    seed = parse_number(spec.get("seed", 0), "seed", True)
     if kind == "mixture":
         mix = GaussianMixture(
             means=np.asarray(spec["means"], dtype=np.float64),
@@ -325,14 +324,15 @@ def dataset_from_spec(spec):
         )
         return gen_mixture(mix, n, seed)
     if kind in _SHAPE_KINDS:
-        return gen_shape(kind, n, noise=float(spec.get("noise", 0.05)), seed=seed)
+        return gen_shape(kind, n, noise=parse_number(spec.get("noise", 0.05), "noise", False),
+                         seed=seed)
     if kind == "multiblobs":
         return gen_multiblobs(
             n,
-            d=int(spec.get("d", 2)),
-            clusters=int(spec.get("clusters", 3)),
+            d=parse_number(spec.get("d", 2), "d", True),
+            clusters=parse_number(spec.get("clusters", 3), "clusters", True),
             seed=seed,
-            center_scale=float(spec.get("center_scale", 5.0)),
-            std=float(spec.get("std", 0.3)),
+            center_scale=parse_number(spec.get("center_scale", 5.0), "center_scale", False),
+            std=parse_number(spec.get("std", 0.3), "std", False),
         )
     raise DataError(f"unknown generator kind {kind!r}")

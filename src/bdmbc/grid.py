@@ -5,26 +5,30 @@ neighbor table, as wide as the largest k_l or k_g or as the columns the
 bagging rounds reach, serves every cell and every bagging pass, and cells
 with equal (b, s, kd) share one pass (see cluster._bagged_and_table).
 Each of the rest is built once and shared: one score vector per (plan,
-k_l), one first_scoring table per score vector over the grid's lambdas
-(each cell's finalize reads its column), and one spanning_forest of the
-k_g graph per (score vector, k_g), whose edges at or above each lambda
-join that lambda's components, so every cell's core subgraph is cut from
-at most n - 1 edges.  So dense grids over the cheap parameters (k_g,
-lambda) cost little more than a single fit.
+k_l), one first_scoring table per score vector over its lambdas, and one
+spanning_forest of the k_g graph per (score vector, k_g), whose edges at
+or above each lambda join that lambda's components.  One
+connected_components call per forest labels every lambda at once.  Then
+one pool item per lambda finishes that lambda's cells: nearest_core runs
+once per distinct surviving core set and metric_report once per distinct
+labeling.  So dense grids over the cheap parameters (k_g, lambda) cost
+little more than a single fit.
 """
 
 from __future__ import annotations
 
 import itertools
 
-# bagged_k_distance, build_kg_graph, empirical_plls, core_subgraph,
-# connected_components and finalize stay importable from this module, where
-# the benchmark's tracer wraps the stages.
+import numpy as np
+
+# bagged_k_distance, build_kg_graph, empirical_plls, core_subgraph and
+# finalize stay importable from this module, where the benchmark's tracer
+# wraps the stages.
 from .cluster import (  # noqa: F401
     PARAMETERS,
     BdmbcConfig,
     _bagged_and_table,
-    _threshold,
+    _finalize,
     bagged_k_distance,
     build_kg_graph,
     connected_components,
@@ -32,6 +36,7 @@ from .cluster import (  # noqa: F401
     finalize,
     first_scoring,
     graph_from_neighbors,
+    nearest_core,
     spanning_forest,
 )
 from .data import parse_number
@@ -98,24 +103,47 @@ def grid_search(ds, grid, metric="ari", **shared):
         c.validate(n)
         by_scores.setdefault((c.plan(n), c.k_l), []).append(c)
     plans = list(dict.fromkeys(plan for plan, _ in by_scores))
-    lams = list(dict.fromkeys(c.lam for c in configs))
     width = max(max(c.k_l, c.k_g) for c in configs)
     bagged, nbr = _bagged_and_table(points, plans, width, {})
     bagged = dict(zip(plans, bagged))
 
-    def report(cell):
-        c, scores, first, forest = cell
-        labels, _, num = _threshold(points, nbr, first, forest, scores, c, {})
-        return {**{k: v for k, v in c.to_dict().items() if k in SWEPT},
-                **metric_report(ds.labels, labels), "num_clusters": num}
+    def level(item):
+        """The rows of one lambda's cells, each a (config, provisional
+        labels) pair: nearest_core runs once per distinct surviving core
+        set and metric_report once per distinct labeling."""
+        first, mask, cells = item
+        nearest, reports, out = {}, {}, []
+
+        def nearest_once(core):
+            key = core.tobytes()
+            if key not in nearest:
+                nearest[key] = nearest_core(points, nbr, first, core)
+            return nearest[key]
+
+        for c, provisional in cells:
+            labels, _, num = _finalize(provisional, mask, c.effective_min_cluster_size(),
+                                       nearest_once)
+            key = labels.tobytes()
+            if key not in reports:
+                reports[key] = metric_report(ds.labels, labels)
+            out.append({**{k: v for k, v in c.to_dict().items() if k in SWEPT},
+                        **reports[key], "num_clusters": num})
+        return out
 
     rows = []
     for (plan, kl), cells in by_scores.items():
         scores = plls_from_neighbors(bagged[plan], nbr[:, :kl])
+        lams = list(dict.fromkeys(c.lam for c in cells))
         first = first_scoring(scores, nbr, lams)
-        forests = {kg: spanning_forest(graph_from_neighbors(nbr[:, :kg]), scores)
-                   for kg in dict.fromkeys(c.k_g for c in cells)}
-        rows += ordered_map(report, [(c, scores, first[:, lams.index(c.lam)], forests[c.k_g])
-                                     for c in cells])
+        masks = scores >= np.array(lams)[:, None]
+        # every lambda's components from one call per k_g forest
+        provisional = {kg: connected_components(
+                           masks, spanning_forest(graph_from_neighbors(nbr[:, :kg]), scores))
+                       for kg in dict.fromkeys(c.k_g for c in cells)}
+        items = [(first[:, j], masks[j],
+                  [(c, provisional[c.k_g][j]) for c in cells if c.lam == lam])
+                 for j, lam in enumerate(lams)]
+        for out in ordered_map(level, items):
+            rows += out
     rows.sort(key=lambda r: (-r[metric], *(r[name] for name in SWEPT)))
     return rows

@@ -184,11 +184,16 @@ class SpatialIndex:
         self._locations = pts if self._lowest.size == self.n else pts[self._lowest]
         self._tree = cKDTree(self._locations, leafsize=_LEAF_SIZE)
 
-    def _exact_distances(self, queries, locations):
-        # the gather is a fresh array, so subtracting in place leaves one
-        # (rows, kq, d) temporary instead of two
-        diff = self._locations[locations]
-        diff -= queries[:, None, :]
+    def _exact_distances(self, queries, locations=None):
+        """Each query row's distances to its locations, default every
+        location, through one (rows, kq, d) difference array."""
+        if locations is None:
+            diff = self._locations - queries[:, None, :]
+        else:
+            # the gather is a fresh array, so subtracting in place leaves
+            # one temporary instead of two
+            diff = self._locations[locations]
+            diff -= queries[:, None, :]
         return np.sqrt(np.einsum("ijk,ijk->ij", diff, diff))
 
     def query_bulk(self, queries, k, exclude=None):
@@ -272,14 +277,17 @@ class SpatialIndex:
         """Exact kk-lists from a window of kq tree candidate locations per
         row, and the rows that must retry with a wider window.  A window of
         every location skips the tree walk."""
-        if kq < self._lowest.size:
+        whole = kq == self._lowest.size
+        if not whole:
             edge, cand = self._tree.query(queries, kq)  # 1-D when kq == 1
             edge, cand = edge.reshape(len(queries), -1)[:, -1], cand.reshape(len(queries), -1)
+            dist = self._exact_distances(queries, cand)
         else:
-            # a window of every location needs no tree walk
+            # a window of every location needs no tree walk, and its
+            # candidates are the locations in order
             cand = np.broadcast_to(np.arange(kq), (len(queries), kq))
             edge = np.inf
-        dist = self._exact_distances(queries, cand)
+            dist = self._exact_distances(queries)
         # Locations are numbered in the order of their lowest members.  An
         # unstable sort by distance is exact unless a row holds equal
         # distances; only those rows need the (distance, location) sort, and
@@ -289,7 +297,8 @@ class SpatialIndex:
         equal = np.flatnonzero(np.any(sorted_dist[:, 1:] == sorted_dist[:, :-1], axis=1))
         if equal.size:
             order[equal] = np.lexsort((cand[equal], dist[equal]))
-        cand = np.take_along_axis(cand, order, axis=1)
+        # a whole window's sorted candidates are the order itself
+        cand = order if whole else np.take_along_axis(cand, order, axis=1)
         dist = sorted_dist
         # A row whose kk first locations by (distance, lowest member) are
         # single points takes them as its list: every other member sorts
@@ -308,7 +317,7 @@ class SpatialIndex:
         # with a lower-index point outside, unless the window holds every
         # location.
         tied = head[:, kk - 1] >= edge * (1.0 - 1e-12)
-        return nbr, head, tied & (kq < self._lowest.size)
+        return nbr, head, tied & (not whole)
 
     def _expand(self, cand, dist, kk):
         """kk-lists of members from candidate locations sorted by (distance,

@@ -181,6 +181,39 @@ def test_spanning_forest_keeps_every_lambdas_components():
             assert np.array_equal(got, want), (case, lam)
 
 
+def test_stacked_components_equal_each_lambdas_own():
+    # random k-NN graphs and their forests, scores tied at multiples of
+    # 1/k_l: one call on a stack of lambda masks over the uncut edge list
+    # gives, row by row, the one-lambda labels of the cut core subgraph
+    # and the BFS oracle's; lambdas at 0, on a level, between levels and
+    # above the top score (no core point), and stacks of one row
+    rng = _rng(8, 38)
+    for case in range(60):
+        n = int(rng.integers(2, 150))
+        pts = rng.random((n, int(rng.integers(1, 4))))
+        if case % 2:
+            pts = np.round(pts * 4) / 4
+        k_g = int(rng.integers(1, min(n - 1, 12) + 1))
+        nbr, _ = SpatialIndex(pts).query_bulk(pts, k_g, exclude=np.arange(n))
+        k_l = int(rng.integers(1, 20))
+        scores = rng.integers(0, k_l + 1, n) / k_l
+        edges = graph_from_neighbors(nbr)
+        levels = np.unique(scores)
+        lams = np.array([0.0, *levels, *(levels[:-1] + levels[1:]) / 2, levels[-1] + 1 / k_l])
+        rng.shuffle(lams)
+        if case % 5 == 0:
+            lams = lams[:1]
+        masks = scores >= lams[:, None]
+        for graph in (edges, spanning_forest(edges, scores)):
+            got = connected_components(masks, graph)
+            assert got.shape == (len(lams), n) and got.dtype == np.int64, case
+            for j, lam in enumerate(lams):
+                want = connected_components(*core_subgraph(graph, scores, lam))
+                assert np.array_equal(got[j], want), (case, lam)
+                assert np.array_equal(got[j], bfs_components(n, graph, masks[j])), (case, lam)
+            assert np.all(got[lams > levels[-1]] == -1), case
+
+
 # ---------------------------------------------------------------- finalize
 
 

@@ -81,6 +81,46 @@ def test_every_grid_row_equals_its_own_fit():
     assert dissolved > 0
 
 
+def test_grid_cells_share_their_threshold_stage(monkeypatch):
+    # 0.25-quantized blobs, 3 k_g x 4 lambda cells on one score vector and a
+    # minimum size that dissolves components (all of them in one cell):
+    # every row is its own fit, the nearest-core step runs once per distinct
+    # (lambda, nonempty surviving core set), fewer times than there are
+    # cells, and threads change no row
+    from bdmbc import grid as grid_module
+
+    blobs = gen_multiblobs(300, 2, 3, seed=4)
+    ds = Dataset(np.round(blobs.points / 0.25) * 0.25, blobs.labels)
+    grid = {"b": [2], "rho": [0.5], "kd": [5], "kl": [30],
+            "kg": [5, 10, 15], "lambda": [0.2, 0.4, 0.6, 0.8]}
+    calls, rows = {}, {}
+    nearest_core = grid_module.nearest_core
+    for threads in ("1", "3"):
+        def counted(points, nbr, first, core_mask, into=calls.setdefault(threads, [])):
+            into.append(core_mask.tobytes())
+            return nearest_core(points, nbr, first, core_mask)
+
+        monkeypatch.setattr(grid_module, "nearest_core", counted)
+        monkeypatch.setenv("BDMBC_THREADS", threads)
+        rows[threads] = grid_search(ds, grid, seed=0, min_cluster_size=15)
+    assert rows["1"] == rows["3"]
+    assert len(rows["1"]) == 12
+    surviving, dissolved = set(), 0
+    for row in rows["1"]:
+        cfg = BdmbcConfig(k_d=5, k_l=30, b=2, rho=0.5, k_g=row["kg"], lam=row["lambda"],
+                          min_cluster_size=15, seed=0)
+        res = bdmbc_fit(ds, cfg)
+        expected = {**metric_report(ds.labels, res.labels), "num_clusters": res.num_clusters}
+        assert {key: row[key] for key in (*METRICS, "num_clusters")} == expected, row
+        if res.core_mask.any():  # else every point joins one cluster
+            surviving.add((cfg.lam, res.core_mask.tobytes()))
+        dissolved += np.count_nonzero((res.plls >= cfg.lam) & ~res.core_mask)
+    assert dissolved > 0
+    assert len(surviving) < len(rows["1"])
+    for threads in ("1", "3"):
+        assert sorted(calls[threads]) == sorted(core for _, core in surviving), threads
+
+
 def test_grid_skips_invalid_cells(blob_csv):
     _, ds = blob_csv
     # kd=200 >= s=150 for rho=0.5 must be skipped, not raised
@@ -319,6 +359,29 @@ def test_cli_gen_cluster_eval_roundtrip(tmp_path):
     pred = tmp_path / "pred.txt"
     pred.write_text("\n".join(str(v) for v in result["labels"]))
     assert main(["eval", str(pred), str(pred)]) == 0
+
+
+@pytest.mark.parametrize("spec, bad", [
+    ({"kind": "moons", "n": 300.7, "seed": True}, "n=300.7 is not an integer"),
+    ({"kind": "moons", "n": "300"}, "n='300' is not an integer"),
+    ({"kind": "multiblobs", "n": 300, "clusters": 2.9}, "clusters=2.9 is not an integer"),
+    ({"kind": "moons", "n": 300, "noise": True}, "noise=True is not a number"),
+    ({"kind": "multiblobs", "n": 300, "d": [2]}, "d=[2] is not an integer"),
+    ({"kind": "moons", "n": 300, "seed": True}, "seed=True is not an integer"),
+    ({"kind": "multiblobs", "n": 300, "std": "0.3"}, "std='0.3' is not a number"),
+])
+def test_cli_gen_rejects_non_numeric_spec_values(tmp_path, capsys, spec, bad):
+    # gen reads every number of its spec as the fit's configs are read:
+    # fractions, bools, strings and lists are errors, not truncated values
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps(spec))
+    out = tmp_path / "data.csv"
+    assert main(["gen", str(path), "--out", str(out)]) == 2
+    assert bad in capsys.readouterr().err
+    assert not out.exists()
+    # an integral float is an integer
+    path.write_text(json.dumps({"kind": "multiblobs", "n": 300.0, "d": 3.0, "seed": 4}))
+    assert main(["gen", str(path), "--out", str(out)]) == 0
 
 
 def test_cli_cluster_requires_kd_kl(tmp_path, blob_csv):
