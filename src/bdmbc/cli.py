@@ -61,7 +61,8 @@ def cmd_gen(args):
 
 def cmd_cluster(args):
     ds = _load_dataset(args)
-    result = bdmbc_fit(ds, BdmbcConfig.from_dict(vars(args)))
+    config = {name: value for name, value in vars(args).items() if name in PARAMETERS}
+    result = bdmbc_fit(ds, BdmbcConfig.from_dict(config))
     _write_result(result, args.out)
     print(f"num_clusters={result.num_clusters} modes={len(result.modes)}")
     for stage, seconds in result.timings.items():
@@ -77,7 +78,7 @@ def cmd_grid(args):
         spec = json.load(fh)
     if not isinstance(spec, dict):
         raise DataError(f"{args.grid}: grid spec must be a JSON object")
-    metric = spec.get("metric", "ari")
+    metric = spec.pop("metric", "ari")
     shared = {name: value for name, value in vars(args).items() if name in SHARED}
     rows = grid_search(ds, spec, metric=metric, **shared)
     with open(args.out, "w", newline="") as fh:

@@ -4,14 +4,16 @@ Pipeline: k_G-NN graph over all points, node-induced subgraph on
 scores >= lambda, weakly connected components (the components of the
 union-symmetrized graph), dissolution of undersized components, then each
 remaining point joins its nearest surviving core point (nearest_core).
+One generator, _fits, runs it for a fit's one config and for a grid's
+many, building each stage's input once for every config that shares it.
 connected_components labels a stack of lambda masks over one edge list in
-one call, so a grid gets every lambda's components from one call per
-graph.  A point's nearest core point is the first point along its row of
-the shared neighbor table that scores >= lambda (first_scoring, built once
-per score vector for every lambda), if it survived dissolution; else the
-first surviving core point along the row; for a row holding none, the
+one call, so a score vector's lambdas get their components from one call
+per graph.  A point's nearest core point is the first point along its row
+of the shared neighbor table that scores >= lambda (first_scoring, built
+once per score vector for every lambda), if it survived dissolution; else
+the first surviving core point along the row; for a row holding none, the
 answer of a 1-NN query against the core points.  It depends only on that
-column and the surviving core set, which grid cells at one lambda share.
+column and the surviving core set, which configs at one lambda share.
 Everything is deterministic for a fixed seed; component IDs follow each
 component's smallest member index and final labels are ordered by
 descending cluster size.
@@ -29,7 +31,7 @@ from scipy.sparse.csgraph import minimum_spanning_tree
 
 from .bagging import BaggingPlan, _table_width, bagged_k_distance, check_integers
 from .data import DataError, _points, parse_number
-from .knn import SpatialIndex
+from .knn import SpatialIndex, ordered_map
 from .plls import mode_set, plls_from_neighbors
 # empirical_plls stays importable from this module, where the benchmark's
 # tracer wraps the stages; bdmbc_fit slices one neighbor table instead.
@@ -120,9 +122,13 @@ class BdmbcConfig:
     def from_dict(cls, m):
         """The config a JSON object describes (to_dict's inverse), each value
         parsed by data.parse_number.  A parameter left out, or null where its
-        default is null, keeps its default; other keys are ignored."""
+        default is null, keeps its default; any other key is a DataError."""
         if not isinstance(m, dict):
             raise DataError(f"config must be a JSON object, got {m!r}")
+        unknown = [name for name in m if name not in PARAMETERS]
+        if unknown:
+            raise DataError(f"unknown config parameter {unknown[0]!r}: "
+                            f"a config takes {', '.join(PARAMETERS)}")
         defaults = {f.name: f.default for f in fields(cls)}
         values = {f: parse_number(m[name], name, integer)
                   for name, (f, integer) in PARAMETERS.items()
@@ -289,10 +295,15 @@ def nearest_core(points, nbr, first, core_mask):
     return nearest
 
 
-def _finalize(provisional, core_mask, min_cluster_size, nearest):
-    """finalize with nearest(final_core_mask) in place of nearest_core: the
-    one composition of the fit and of every grid cell, so that the cells of
-    one lambda can share nearest_core's answer for each surviving core set."""
+def finalize(provisional, core_mask, min_cluster_size, nearest):
+    """Dissolve undersized components and give each non-core point the
+    label of its nearest surviving core point, nearest(final_core_mask):
+    nearest_core's answer, which the configs of one lambda share for each
+    surviving core set.
+
+    Returns (labels, final_core_mask, num_clusters) with labels reordered
+    by descending cluster size (ties by smallest member index).
+    """
     labels = np.asarray(provisional).copy()
     core_mask = np.asarray(core_mask).copy()
     n = len(labels)
@@ -318,53 +329,99 @@ def _finalize(provisional, core_mask, min_cluster_size, nearest):
     return rank[labels], core_mask, num
 
 
-def finalize(ds, provisional, core_mask, min_cluster_size, nbr, first):
-    """Dissolve undersized components and give each non-core point the
-    label of its nearest surviving core point (see nearest_core for nbr
-    and first; first's superset is core_mask).
+def _fits(points, configs, timings):
+    """Yield (config, labels, final core mask, num_clusters, scores) for
+    each config, valid on these n >= 2 points, one lambda's configs at a
+    time: bdmbc_fit runs one config, grid_search a grid's.
 
-    Returns (labels, final_core_mask, num_clusters) with labels reordered
-    by descending cluster size (ties by smallest member index).
-    """
-    points = _points(ds)
-    return _finalize(provisional, core_mask, min_cluster_size,
-                     lambda core: nearest_core(points, nbr, first, core))
+    One index and one exact self-query serve every stage.  The query is as
+    wide as the largest k_l or k_g, or as the columns the bagging rounds
+    read (bagging._table_width), and every plan's rounds read it.  Configs
+    with equal plans share one bagging pass; with equal (plan, k_l), one
+    score vector, one first_scoring table over their lambdas and, per k_g,
+    one connected_components call that labels every lambda.  With several
+    lambdas that call runs on the k_g graph's spanning_forest, which costs
+    more to build than one call on the graph.  Each lambda is then one
+    ordered_map item, where nearest_core runs once per distinct surviving
+    core set.  finalize runs once per config and is looked up by name, so
+    the benchmark's tracer sees every call.
 
-
-def _bagged_and_table(points, plans, width, timings):
-    """Each plan's bagged k-distances, and the one exact neighbor table,
-    at least width columns wide, that every later stage slices.
-
-    One index and one self-query serve every stage: the query is widened to
-    the columns that bagging reads (bagging._table_width), and every plan's
-    rounds read it.  timings gets "index" for the index build,
-    "bagged_kdist" for the rounds and for the query if they read it, and
-    "plls" for a query that no plan reads.
+    timings gets "index" for the index build, "bagged_kdist" for the
+    rounds and for the query if they read it, "plls" for the scores and
+    for a query that no plan reads, "graph", "components", and "finalize",
+    which includes first_scoring.
     """
     n = points.shape[0]
+    groups = {}  # plan -> k_l -> the configs that share one score vector
+    for c in configs:
+        groups.setdefault(c.plan(n), {}).setdefault(c.k_l, []).append(c)
+    width = max(max(c.k_l, c.k_g) for c in configs)
     t0 = time.perf_counter()
     idx = SpatialIndex(points)
     t1 = time.perf_counter()
-    read = _table_width(n, plans)
+    read = _table_width(n, groups)
     table = idx.query_bulk(idx.points, max(width, read), exclude=np.arange(n))
     t2 = time.perf_counter()
-    bagged = [bagged_k_distance(points, plan, table=table) for plan in plans]
+    bagged = {plan: bagged_k_distance(points, plan, table=table) for plan in groups}
     t3 = time.perf_counter()
-    timings["index"] = t1 - t0
-    if read:
-        timings["bagged_kdist"] = t3 - t1
-    else:
-        timings["bagged_kdist"], timings["plls"] = t3 - t2, t2 - t1
-    return bagged, table[0][:, :width]
+    timings.update(index=t1 - t0, bagged_kdist=t3 - (t1 if read else t2),
+                   plls=0.0 if read else t2 - t1, graph=0.0, components=0.0, finalize=0.0)
+    nbr = table[0][:, :width]
+    del idx, table  # later stages read only nbr: free the tree and the distances
+
+    def finish(item):
+        """One lambda's (config, labels, core mask, num_clusters) rows, and
+        the seconds they took."""
+        t0 = time.perf_counter()
+        first, mask, cells = item
+        memo = {}
+
+        def nearest(core):
+            key = core.tobytes()
+            if key not in memo:
+                memo[key] = nearest_core(points, nbr, first, core)
+            return memo[key]
+
+        rows = [(c, *finalize(provisional, mask, c.effective_min_cluster_size(), nearest))
+                for c, provisional in cells]
+        return rows, time.perf_counter() - t0
+
+    for plan, by_kl in groups.items():
+        for kl, cells in by_kl.items():
+            t0 = time.perf_counter()
+            scores = plls_from_neighbors(bagged[plan], nbr[:, :kl])
+            t1 = time.perf_counter()
+            lams = list(dict.fromkeys(c.lam for c in cells))
+            # before the graphs, which are built one at a time: either other
+            # order raises a grid's peak memory
+            first = first_scoring(scores, nbr, lams)
+            t2 = time.perf_counter()
+            timings["plls"] += t1 - t0
+            timings["finalize"] += t2 - t1
+            masks = scores >= np.array(lams)[:, None]
+            provisional = {}
+            for kg in dict.fromkeys(c.k_g for c in cells):
+                t0 = time.perf_counter()
+                edges = graph_from_neighbors(nbr[:, :kg])
+                if len(lams) > 1:
+                    edges = spanning_forest(edges, scores)
+                t1 = time.perf_counter()
+                provisional[kg] = connected_components(masks, edges)
+                timings["graph"] += t1 - t0
+                timings["components"] += time.perf_counter() - t1
+            items = [(first[:, j], masks[j],
+                      [(c, provisional[c.k_g][j]) for c in cells if c.lam == lam])
+                     for j, lam in enumerate(lams)]
+            for rows, seconds in ordered_map(finish, items):
+                timings["finalize"] += seconds
+                for row in rows:
+                    yield (*row, scores)
 
 
 def bdmbc_fit(ds, config):
     """Run the full pipeline on a dataset; deterministic for a fixed seed.
 
-    One exact neighbor table (see _bagged_and_table) serves every stage:
-    PLLS reads its first k_l columns, the graph its first k_g, and
-    first_scoring and finalize all of it.  timings["finalize"] includes
-    first_scoring.
+    A fit is _fits on its one config, which says what timings holds.
     """
     points = _points(ds)
     n = points.shape[0]
@@ -381,28 +438,7 @@ def bdmbc_fit(ds, config):
         )
     config.validate(n)
     timings = {}
-    (bagged,), nbr = _bagged_and_table(
-        points, [config.plan(n)], max(config.k_l, config.k_g), timings
-    )
-
-    t0 = time.perf_counter()
-    scores = plls_from_neighbors(bagged, nbr[:, : config.k_l])
-    timings["plls"] = timings.get("plls", 0.0) + time.perf_counter() - t0
-
-    t0 = time.perf_counter()
-    edges = graph_from_neighbors(nbr[:, : config.k_g])
-    timings["graph"] = time.perf_counter() - t0
-
-    t0 = time.perf_counter()
-    mask = scores >= config.lam
-    provisional = connected_components(mask, edges)
-    timings["components"] = time.perf_counter() - t0
-
-    t0 = time.perf_counter()
-    first = first_scoring(scores, nbr, [config.lam])[:, 0]
-    labels, final_core, num = finalize(points, provisional, mask,
-                                       config.effective_min_cluster_size(), nbr, first)
-    timings["finalize"] = time.perf_counter() - t0
+    ((_, labels, final_core, num, scores),) = _fits(points, [config], timings)
     modes = mode_set(scores)
     modes = modes[final_core[modes]]  # modes in dissolved components drop out
     return ClusterResult(

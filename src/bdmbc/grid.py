@@ -1,48 +1,34 @@
-"""Cartesian hyperparameter grid evaluation with stage-level caching.
+"""Cartesian hyperparameter grid evaluation.
 
-Every grid cell is one BdmbcConfig, run as a fit runs it.  One exact
-neighbor table, as wide as the largest k_l or k_g or as the columns the
-bagging rounds reach, serves every cell and every bagging pass, and cells
-with equal (b, s, kd) share one pass (see cluster._bagged_and_table).
-Each of the rest is built once and shared: one score vector per (plan,
-k_l), one first_scoring table per score vector over its lambdas, and one
-spanning_forest of the k_g graph per (score vector, k_g), whose edges at
-or above each lambda join that lambda's components.  One
-connected_components call per forest labels every lambda at once.  Then
-one pool item per lambda finishes that lambda's cells: nearest_core runs
-once per distinct surviving core set and metric_report once per distinct
-labeling.  So dense grids over the cheap parameters (k_g, lambda) cost
-little more than a single fit.
+Every grid cell is one BdmbcConfig, and the cells run the fit's own path,
+cluster._fits, which builds each stage's input once for all the cells
+that share it: one neighbor table for every cell, one bagging pass per
+plan, one score vector per (plan, k_l), and one components call per
+(score vector, k_g) for every lambda.  metric_report then runs once per
+distinct labeling.  So dense grids over the cheap parameters (k_g,
+lambda) cost little more than a single fit.
 """
 
 from __future__ import annotations
 
 import itertools
 
-import numpy as np
-
-# bagged_k_distance, build_kg_graph, empirical_plls, core_subgraph and
-# finalize stay importable from this module, where the benchmark's tracer
-# wraps the stages.
+# bagged_k_distance, build_kg_graph, connected_components, core_subgraph,
+# empirical_plls and finalize stay importable from this module, where the
+# benchmark's tracer wraps the stages.
 from .cluster import (  # noqa: F401
     PARAMETERS,
     BdmbcConfig,
-    _bagged_and_table,
-    _finalize,
+    _fits,
     bagged_k_distance,
     build_kg_graph,
     connected_components,
     core_subgraph,
     finalize,
-    first_scoring,
-    graph_from_neighbors,
-    nearest_core,
-    spanning_forest,
 )
 from .data import parse_number
-from .knn import ordered_map
 from .metrics import metric_report
-from .plls import empirical_plls, plls_from_neighbors  # noqa: F401
+from .plls import empirical_plls  # noqa: F401
 
 METRICS = ("ari", "nmi", "f1", "acc")
 # the parameters a grid spec sweeps, in the rows' tie-breaking order, and
@@ -73,10 +59,11 @@ def grid_search(ds, grid, metric="ari", **shared):
     """Evaluate every grid combination; returns rows sorted by the metric.
 
     grid: dict with value lists under any of SWEPT (kd and kl are
-    required); shared: values of any of SHARED for every cell.  A parameter
-    given neither way keeps BdmbcConfig's default.  Requires ground truth
-    labels on the dataset.  Cells with kd >= s or k_l > n - 1 are skipped;
-    any other value a single fit rejects raises before any cell runs.
+    required) and no other key; shared: values of any of SHARED for every
+    cell.  A parameter given neither way keeps BdmbcConfig's default.
+    Requires ground truth labels on the dataset.  Cells with kd >= s or
+    k_l > n - 1 are skipped; any other value a single fit rejects raises
+    before any cell runs.
     Deterministic ordering: descending metric, ties by lexicographic
     parameter tuple.
     """
@@ -86,6 +73,12 @@ def grid_search(ds, grid, metric="ari", **shared):
         raise ValueError(f"metric {metric!r} requires ground-truth labels")
     if not shared.keys() <= set(SHARED):
         raise TypeError(f"grid_search() shares only {SHARED} among cells, got {sorted(shared)}")
+    for name in grid:
+        if name in SHARED:
+            raise ValueError(f"grid parameter {name!r} is shared by every cell, not swept: "
+                             f"pass {name}= (bdmbc grid --{name.replace('_', '-')})")
+        if name not in SWEPT:
+            raise ValueError(f"unknown grid parameter {name!r}: a grid sweeps {', '.join(SWEPT)}")
     points = ds.points
     n = points.shape[0]
     swept = {name: _values(grid, name) for name in SWEPT if name in grid}
@@ -98,52 +91,14 @@ def grid_search(ds, grid, metric="ari", **shared):
     configs = [c for c in configs if c.k_l <= n - 1]
     if not configs:
         raise ValueError(f"no grid cell has k_l <= n - 1 = {n - 1}")
-    by_scores = {}  # the cells that share one score vector
     for c in configs:
         c.validate(n)
-        by_scores.setdefault((c.plan(n), c.k_l), []).append(c)
-    plans = list(dict.fromkeys(plan for plan, _ in by_scores))
-    width = max(max(c.k_l, c.k_g) for c in configs)
-    bagged, nbr = _bagged_and_table(points, plans, width, {})
-    bagged = dict(zip(plans, bagged))
-
-    def level(item):
-        """The rows of one lambda's cells, each a (config, provisional
-        labels) pair: nearest_core runs once per distinct surviving core
-        set and metric_report once per distinct labeling."""
-        first, mask, cells = item
-        nearest, reports, out = {}, {}, []
-
-        def nearest_once(core):
-            key = core.tobytes()
-            if key not in nearest:
-                nearest[key] = nearest_core(points, nbr, first, core)
-            return nearest[key]
-
-        for c, provisional in cells:
-            labels, _, num = _finalize(provisional, mask, c.effective_min_cluster_size(),
-                                       nearest_once)
-            key = labels.tobytes()
-            if key not in reports:
-                reports[key] = metric_report(ds.labels, labels)
-            out.append({**{k: v for k, v in c.to_dict().items() if k in SWEPT},
-                        **reports[key], "num_clusters": num})
-        return out
-
-    rows = []
-    for (plan, kl), cells in by_scores.items():
-        scores = plls_from_neighbors(bagged[plan], nbr[:, :kl])
-        lams = list(dict.fromkeys(c.lam for c in cells))
-        first = first_scoring(scores, nbr, lams)
-        masks = scores >= np.array(lams)[:, None]
-        # every lambda's components from one call per k_g forest
-        provisional = {kg: connected_components(
-                           masks, spanning_forest(graph_from_neighbors(nbr[:, :kg]), scores))
-                       for kg in dict.fromkeys(c.k_g for c in cells)}
-        items = [(first[:, j], masks[j],
-                  [(c, provisional[c.k_g][j]) for c in cells if c.lam == lam])
-                 for j, lam in enumerate(lams)]
-        for out in ordered_map(level, items):
-            rows += out
+    reports, rows = {}, []
+    for c, labels, _, num, _ in _fits(points, configs, {}):
+        key = labels.tobytes()
+        if key not in reports:
+            reports[key] = metric_report(ds.labels, labels)
+        rows.append({**{k: v for k, v in c.to_dict().items() if k in SWEPT},
+                     **reports[key], "num_clusters": num})
     rows.sort(key=lambda r: (-r[metric], *(r[name] for name in SWEPT)))
     return rows

@@ -21,6 +21,7 @@ from bdmbc.cluster import (
     finalize,
     first_scoring,
     graph_from_neighbors,
+    nearest_core,
     spanning_forest,
 )
 from bdmbc.data import Dataset, _rng, gen_multiblobs
@@ -230,7 +231,8 @@ def finalize_on(points, provisional, core_mask, min_cluster_size):
     core point taken from core_mask as a 0/1 score vector at lambda 1."""
     nbr = table(points)
     first = first_scoring(np.asarray(core_mask, dtype=np.float64), nbr, [1.0])[:, 0]
-    return finalize(points, provisional, core_mask, min_cluster_size, nbr, first)
+    return finalize(provisional, core_mask, min_cluster_size,
+                    lambda core: nearest_core(points, nbr, first, core))
 
 
 def test_first_scoring_is_the_first_neighbor_at_or_above_lambda():
@@ -338,7 +340,8 @@ def test_finalize_reads_table_like_the_tree_oracle(width, monkeypatch):
             expected = finalize_by_tree(pts, provisional, mask, min_size)
             monkeypatch.setattr(SpatialIndex, "__init__", record)
             built.clear()
-            got = finalize(pts, provisional, mask, min_size, nbr, col)
+            got = finalize(provisional, mask, min_size,
+                           lambda core: nearest_core(pts, nbr, col, core))
             monkeypatch.undo()
             case = (name, width, lam, min_size)
             assert np.array_equal(got[0], expected[0]), case
@@ -550,9 +553,10 @@ def test_fit_equals_public_stage_composition(quantized, bagged):
     scores = empirical_plls(pts, idx, bagged_k_distance(pts, plan), cfg.k_l)
     mask, edges = core_subgraph(build_kg_graph(idx, cfg.k_g), scores, cfg.lam)
     nbr, _ = idx.query_bulk(pts, cfg.k_g, exclude=np.arange(600))
-    labels, core, num = finalize(pts, connected_components(mask, edges), mask,
-                                 cfg.effective_min_cluster_size(), nbr,
-                                 first_scoring(scores, nbr, [cfg.lam])[:, 0])
+    first = first_scoring(scores, nbr, [cfg.lam])[:, 0]
+    labels, core, num = finalize(connected_components(mask, edges), mask,
+                                 cfg.effective_min_cluster_size(),
+                                 lambda core: nearest_core(pts, nbr, first, core))
     modes = mode_set(scores)
     assert np.array_equal(res.plls, scores)
     assert np.array_equal(res.labels, labels)

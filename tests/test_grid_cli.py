@@ -87,22 +87,23 @@ def test_grid_cells_share_their_threshold_stage(monkeypatch):
     # every row is its own fit, the nearest-core step runs once per distinct
     # (lambda, nonempty surviving core set), fewer times than there are
     # cells, and threads change no row
-    from bdmbc import grid as grid_module
+    import bdmbc.cluster
 
     blobs = gen_multiblobs(300, 2, 3, seed=4)
     ds = Dataset(np.round(blobs.points / 0.25) * 0.25, blobs.labels)
     grid = {"b": [2], "rho": [0.5], "kd": [5], "kl": [30],
             "kg": [5, 10, 15], "lambda": [0.2, 0.4, 0.6, 0.8]}
     calls, rows = {}, {}
-    nearest_core = grid_module.nearest_core
+    nearest_core = bdmbc.cluster.nearest_core
     for threads in ("1", "3"):
         def counted(points, nbr, first, core_mask, into=calls.setdefault(threads, [])):
             into.append(core_mask.tobytes())
             return nearest_core(points, nbr, first, core_mask)
 
-        monkeypatch.setattr(grid_module, "nearest_core", counted)
+        monkeypatch.setattr(bdmbc.cluster, "nearest_core", counted)
         monkeypatch.setenv("BDMBC_THREADS", threads)
         rows[threads] = grid_search(ds, grid, seed=0, min_cluster_size=15)
+    monkeypatch.undo()  # the fits below run nearest_core too
     assert rows["1"] == rows["3"]
     assert len(rows["1"]) == 12
     surviving, dissolved = set(), 0
@@ -119,6 +120,36 @@ def test_grid_cells_share_their_threshold_stage(monkeypatch):
     assert len(surviving) < len(rows["1"])
     for threads in ("1", "3"):
         assert sorted(calls[threads]) == sorted(core for _, core in surviving), threads
+
+
+def test_only_a_score_vector_with_several_lambdas_builds_forests(monkeypatch):
+    # a spanning forest costs more to build than one components call on the
+    # k_g graph, so only one call that labels several lambdas runs on it: a
+    # fit and a one-lambda grid build none, a 4-lambda grid one per (score
+    # vector, k_g), and every row is still its own fit
+    import bdmbc.cluster
+
+    ds = gen_multiblobs(300, 2, 3, seed=4)
+    built = []
+    spanning_forest = bdmbc.cluster.spanning_forest
+
+    def counted(edges, scores):
+        built.append(len(edges))
+        return spanning_forest(edges, scores)
+
+    monkeypatch.setattr(bdmbc.cluster, "spanning_forest", counted)
+    base = {"b": [2], "rho": [0.5], "kd": [5], "kl": [20, 30], "kg": [5, 10, 15]}
+    for lams, forests in (([0.5], 0), ([0.2, 0.4, 0.6, 0.8], 2 * 3)):
+        built.clear()
+        rows = grid_search(ds, {**base, "lambda": lams}, seed=0)
+        assert len(rows) == 2 * 3 * len(lams)
+        assert len(built) == forests, lams
+        for row in rows:
+            res = bdmbc_fit(ds, BdmbcConfig(k_d=5, k_l=row["kl"], b=2, rho=0.5, k_g=row["kg"],
+                                            lam=row["lambda"], seed=0))
+            expected = {**metric_report(ds.labels, res.labels), "num_clusters": res.num_clusters}
+            assert {key: row[key] for key in (*METRICS, "num_clusters")} == expected, row
+        assert len(built) == forests  # the fits built none
 
 
 def test_grid_skips_invalid_cells(blob_csv):
@@ -512,6 +543,45 @@ def test_cli_rejects_non_integer_hyperparameters(tmp_path, blob_csv, capsys):
                  "--out", str(tmp_path / "b.json")]) == 0
     report = json.loads((tmp_path / "b.json").read_text())
     assert report["a"]["config"] == report["b"]["config"]
+
+
+def test_misspelled_hyperparameters_are_rejected(blob_csv):
+    # a config or a grid with "lamda" ran at lambda 0.5, and a grid's
+    # "seed" list ran at seed 0
+    _, ds = blob_csv
+    with pytest.raises(ValueError, match="unknown config parameter 'lamda'"):
+        BdmbcConfig.from_dict({"kd": 5, "kl": 20, "lamda": 0.9})
+    with pytest.raises(ValueError, match="unknown grid parameter 'lamda'"):
+        grid_search(ds, {"kd": [5], "kl": [20], "lamda": [0.3, 0.9], "seed": [7]})
+    for name in ("seed", "min_cluster_size"):
+        with pytest.raises(ValueError, match=f"{name!r} is shared by every cell"):
+            grid_search(ds, {"kd": [5], "kl": [20], name: [7]})
+
+
+def test_cli_rejects_misspelled_hyperparameters(tmp_path, blob_csv, capsys):
+    # each of these exited 0 after running at lambda 0.5 and seed 0
+    path, _ = blob_csv
+    spec = tmp_path / "spec.json"
+    good = tmp_path / "good.json"
+    good.write_text(json.dumps({"kd": 5, "kl": 30}))
+    grid = ["grid", str(path), "--label-column", "2", "--grid", str(spec),
+            "--out", str(tmp_path / "g.csv")]
+    for bad, message in (({"kd": [5], "kl": [20], "lamda": [0.3, 0.9], "seed": [7]},
+                          "unknown grid parameter 'lamda'"),
+                         ({"kd": [5], "kl": [20], "seed": [7]}, "--seed"),
+                         ({"kd": [5], "kl": [20], "min_cluster_size": [7]},
+                          "--min-cluster-size")):
+        spec.write_text(json.dumps(bad))
+        capsys.readouterr()
+        assert main(grid) == 2, bad
+        assert message in capsys.readouterr().err, bad
+    spec.write_text(json.dumps({"kd": 5, "kl": 30, "lamda": 0.9}))
+    for configs in ((spec, good), (good, spec)):
+        code = main(["bench", str(path), "--config-a", str(configs[0]),
+                     "--config-b", str(configs[1]), "--out", str(tmp_path / "b.json")])
+        assert code == 2
+        assert "unknown config parameter 'lamda'" in capsys.readouterr().err
+    assert not (tmp_path / "g.csv").exists() and not (tmp_path / "b.json").exists()
 
 
 def test_every_front_end_keeps_the_config_defaults(tmp_path, blob_csv):
