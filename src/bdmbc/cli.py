@@ -142,11 +142,7 @@ def _read_label_file(path):
 def cmd_eval(args):
     true_labels = _read_label_file(args.true_labels)
     pred_labels = _read_label_file(args.pred_labels)
-    if len(true_labels) != len(pred_labels):
-        raise DataError(
-            f"label lengths differ: {len(true_labels)} vs {len(pred_labels)}"
-        )
-    report = metric_report(true_labels, pred_labels)
+    report = metric_report(true_labels, pred_labels)  # rejects unequal lengths
     print(json.dumps({k: round(v, 6) for k, v in report.items()}))
     return 0
 

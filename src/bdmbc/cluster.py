@@ -14,6 +14,8 @@ once per score vector for every lambda), if it survived dissolution; else
 the first surviving core point along the row; for a row holding none, the
 answer of a 1-NN query against the core points.  It depends only on that
 column and the surviving core set, which configs at one lambda share.
+This threshold stage runs on the calling thread, one lambda at a time;
+only the k-NN blocks and brute-force bagging rounds reach the thread pool.
 Everything is deterministic for a fixed seed; component IDs follow each
 component's smallest member index and final labels are ordered by
 descending cluster size.
@@ -30,8 +32,8 @@ from scipy.sparse.csgraph import connected_components as _cc
 from scipy.sparse.csgraph import minimum_spanning_tree
 
 from .bagging import BaggingPlan, _table_width, bagged_k_distance, check_integers
-from .data import DataError, _points, parse_number
-from .knn import SpatialIndex, ordered_map
+from .data import DataError, _points, check_seed, parse_number
+from .knn import SpatialIndex
 from .plls import mode_set, plls_from_neighbors
 # empirical_plls stays importable from this module, where the benchmark's
 # tracer wraps the stages; bdmbc_fit slices one neighbor table instead.
@@ -97,6 +99,7 @@ class BdmbcConfig:
         # subsample_size checks rho, unless s is given
         check_integers(b=self.b, s=self.subsample_size(1), k_d=self.k_d, k_l=self.k_l,
                        k_g=self.k_g, min_cluster_size=mcs, seed=self.seed)
+        check_seed(self.seed)
         for name, value in (("b", self.b), ("k_d", self.k_d), ("k_l", self.k_l),
                             ("k_g", self.k_g), ("min_cluster_size", mcs)):
             if value < 1:
@@ -106,10 +109,9 @@ class BdmbcConfig:
         if n is None:
             return
         self.plan(n).validate(n)
-        if self.k_l > n - 1:
-            raise ValueError(f"k_l={self.k_l} out of range [1, {n - 1}]")
-        if self.k_g > n - 1:
-            raise ValueError(f"k_g={self.k_g} out of range [1, {n - 1}]")
+        for name, value in (("k_l", self.k_l), ("k_g", self.k_g)):
+            if value > n - 1:
+                raise ValueError(f"{name}={value} out of range [1, {n - 1}]")
 
     def to_dict(self, n=None):
         """The config by JSON name, with s resolved on n points (if given)
@@ -243,7 +245,7 @@ def connected_components(masks, edges):
     return labels if masks.ndim == 2 else labels[0]
 
 
-# Rows of the neighbor table that first_scoring and finalize scan at a
+# Rows of the neighbor table that first_scoring and nearest_core scan at a
 # time: gathering every row at once adds to the fit's peak memory.
 _FINALIZE_ROWS = 1024
 
@@ -341,10 +343,10 @@ def _fits(points, configs, timings):
     score vector, one first_scoring table over their lambdas and, per k_g,
     one connected_components call that labels every lambda.  With several
     lambdas that call runs on the k_g graph's spanning_forest, which costs
-    more to build than one call on the graph.  Each lambda is then one
-    ordered_map item, where nearest_core runs once per distinct surviving
-    core set.  finalize runs once per config and is looked up by name, so
-    the benchmark's tracer sees every call.
+    more to build than one call on the graph.  The lambdas then run one at
+    a time on the calling thread, each running nearest_core once per
+    distinct surviving core set.  finalize runs once per config and is
+    looked up by name, so the benchmark's tracer sees every call.
 
     timings gets "index" for the index build, "bagged_kdist" for the
     rounds and for the query if they read it, "plls" for the scores and
@@ -368,24 +370,6 @@ def _fits(points, configs, timings):
                    plls=0.0 if read else t2 - t1, graph=0.0, components=0.0, finalize=0.0)
     nbr = table[0][:, :width]
     del idx, table  # later stages read only nbr: free the tree and the distances
-
-    def finish(item):
-        """One lambda's (config, labels, core mask, num_clusters) rows, and
-        the seconds they took."""
-        t0 = time.perf_counter()
-        first, mask, cells = item
-        memo = {}
-
-        def nearest(core):
-            key = core.tobytes()
-            if key not in memo:
-                memo[key] = nearest_core(points, nbr, first, core)
-            return memo[key]
-
-        rows = [(c, *finalize(provisional, mask, c.effective_min_cluster_size(), nearest))
-                for c, provisional in cells]
-        return rows, time.perf_counter() - t0
-
     for plan, by_kl in groups.items():
         for kl, cells in by_kl.items():
             t0 = time.perf_counter()
@@ -409,13 +393,22 @@ def _fits(points, configs, timings):
                 provisional[kg] = connected_components(masks, edges)
                 timings["graph"] += t1 - t0
                 timings["components"] += time.perf_counter() - t1
-            items = [(first[:, j], masks[j],
-                      [(c, provisional[c.k_g][j]) for c in cells if c.lam == lam])
-                     for j, lam in enumerate(lams)]
-            for rows, seconds in ordered_map(finish, items):
-                timings["finalize"] += seconds
-                for row in rows:
-                    yield (*row, scores)
+            for j, lam in enumerate(lams):
+                memo = {}  # surviving core mask -> nearest_core's answer
+
+                def nearest(core):
+                    key = core.tobytes()
+                    if key not in memo:
+                        memo[key] = nearest_core(points, nbr, first[:, j], core)
+                    return memo[key]
+
+                for c in cells:
+                    if c.lam == lam:
+                        t0 = time.perf_counter()
+                        row = finalize(provisional[c.k_g][j], masks[j],
+                                       c.effective_min_cluster_size(), nearest)
+                        timings["finalize"] += time.perf_counter() - t0
+                        yield (c, *row, scores)
 
 
 def bdmbc_fit(ds, config):
@@ -434,7 +427,6 @@ def bdmbc_fit(ds, config):
             num_clusters=1,
             plls=np.ones(1),
             config=config.to_dict(n),
-            timings={},
         )
     config.validate(n)
     timings = {}

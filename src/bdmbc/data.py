@@ -22,7 +22,9 @@ class DataError(ValueError):
 
 def _rng(seed, stream=0):
     """Philox generator for (seed, stream); documented external interface."""
-    return np.random.Generator(np.random.Philox(key=[seed, stream]))
+    check_seed(seed)
+    # uint64 words: numpy reads a list holding a seed >= 2**63 as float64
+    return np.random.Generator(np.random.Philox(key=np.array([seed, stream], dtype=np.uint64)))
 
 
 def _points(ds):
@@ -150,6 +152,12 @@ def parse_number(value, where, integer):
     return int(value)
 
 
+def check_seed(seed):
+    """DataError unless the integer seed fits a Philox key word, [0, 2**64)."""
+    if not 0 <= seed < 2**64:
+        raise DataError(f"seed={seed} out of range [0, 2**64)")
+
+
 def load_csv(path, has_header=False, label_column=None):
     """Read a comma-delimited numeric file into a Dataset.
 
@@ -264,8 +272,8 @@ def gen_shape(kind, n, noise=0.05, seed=0):
         raise DataError(f"unknown shape kind {kind!r}; choose from {_SHAPE_KINDS}")
     if n < 2:
         raise DataError("n must be >= 2")
-    if noise < 0:
-        raise DataError("noise must be >= 0")
+    if not noise >= 0:  # nor NaN
+        raise DataError(f"noise={noise} must be >= 0")
     rng = _rng(seed)
     ncomp = 2 if kind in ("moons", "circles") else 3
     labels = np.arange(n, dtype=np.int64) % ncomp
@@ -295,6 +303,8 @@ def gen_multiblobs(n, d, clusters, seed, center_scale=5.0, std=0.3):
     """
     if n < 1 or d < 1 or clusters < 1:
         raise DataError("n, d and clusters must all be >= 1")
+    if not std >= 0:  # nor NaN
+        raise DataError(f"std={std} must be >= 0")
     rng = _rng(seed)
     centers = center_scale * rng.random((clusters, d))
     labels = np.arange(n, dtype=np.int64) % clusters

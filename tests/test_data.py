@@ -274,6 +274,34 @@ def test_gen_shape_errors():
         gen_shape("swirl", 10)
     with pytest.raises(DataError):
         gen_shape("moons", 10, noise=-0.1)
+    # NaN passed a noise < 0 test and drew the noise-free points
+    with pytest.raises(DataError, match="noise=nan"):
+        gen_shape("moons", 10, noise=math.nan)
+    for std in (-0.3, math.nan):
+        with pytest.raises(DataError, match=f"std={std}"):
+            gen_multiblobs(10, 2, 2, seed=0, std=std)
+
+
+def test_every_seed_below_2_64_keys_its_own_stream():
+    # a seed >= 2**63 reached Philox through float64: 2**63 + 1 drew
+    # 2**63's points and 2**64 - 1 warned of an invalid cast.  A seed
+    # outside [0, 2**64) is rejected before any draw (a config's before
+    # any stage runs): 2**64 raised an internal error and -1 aliased
+    # 2**64 - 1
+    draws = [gen_shape("moons", 20, seed=s).points for s in (2**63, 2**63 + 1, 2**64 - 1)]
+    assert not np.array_equal(draws[0], draws[1])
+    assert not np.array_equal(draws[1], draws[2])
+    ds = gen_shape("moons", 60, seed=1)
+    fit = bdmbc_fit(ds, BdmbcConfig(k_d=3, k_l=5, rho=0.5, seed=2**64 - 1))
+    assert fit.config["seed"] == 2**64 - 1
+    for seed in (-1, 2**64):
+        with pytest.raises(DataError, match=f"seed={seed} out of range"):
+            dataset_from_spec({"kind": "moons", "n": 20, "seed": seed})
+        with pytest.raises(DataError, match=f"seed={seed} out of range"):
+            bagged_k_distance(ds, BaggingPlan(b=2, s=30, k_d=3, seed=seed))
+        for data in (ds, ds.points[:1]):
+            with pytest.raises(ValueError, match=f"seed={seed} out of range"):
+                bdmbc_fit(data, BdmbcConfig(k_d=3, k_l=5, rho=1.0, seed=seed))
 
 
 def test_gen_multiblobs():

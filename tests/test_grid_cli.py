@@ -2,6 +2,7 @@
 
 import csv
 import json
+import math
 import os
 
 import numpy as np
@@ -264,9 +265,11 @@ def test_grid_thread_invariance(blob_csv, monkeypatch):
 
 
 def test_one_thread_starts_no_thread(blob_csv, monkeypatch):
-    # at BDMBC_THREADS=1 a fit with brute-force bagging rounds and a grid run
+    # at BDMBC_THREADS=1 a fit with brute-force bagging rounds and grids run
     # every k-NN block, round and cell on the calling thread; at 2 threads
-    # both start pools, and give the same results
+    # the fit and a grid with brute-force rounds start pools, and give the
+    # same results.  A grid's cells always run on the calling thread, so the
+    # 300-point grid (one k-NN block, rank-table bagging) starts none
     import threading
 
     from bdmbc import bagging, knn
@@ -290,7 +293,10 @@ def test_one_thread_starts_no_thread(blob_csv, monkeypatch):
     labels = bdmbc_fit(ds, config).labels
     fit_pools = len(pools)
     rows = grid_search(small, grid, seed=0)
-    assert fit_pools > 0 and len(pools) > fit_pools
+    assert fit_pools > 0 and len(pools) == fit_pools
+    brute_grid = {**grid, "rho": [0.1]}
+    brute_rows = grid_search(ds, brute_grid, seed=0)
+    assert len(pools) > fit_pools
 
     def no_pool(*args, **kwargs):
         raise AssertionError("a thread pool was started")
@@ -303,6 +309,7 @@ def test_one_thread_starts_no_thread(blob_csv, monkeypatch):
     monkeypatch.setenv("BDMBC_THREADS", "1")
     assert np.array_equal(bdmbc_fit(ds, config).labels, labels)
     assert grid_search(small, grid, seed=0) == rows
+    assert grid_search(ds, brute_grid, seed=0) == brute_rows
 
 
 def test_grid_table_from_pairwise_order_equals_query(monkeypatch):
@@ -400,6 +407,12 @@ def test_cli_gen_cluster_eval_roundtrip(tmp_path):
     ({"kind": "multiblobs", "n": 300, "d": [2]}, "d=[2] is not an integer"),
     ({"kind": "moons", "n": 300, "seed": True}, "seed=True is not an integer"),
     ({"kind": "multiblobs", "n": 300, "std": "0.3"}, "std='0.3' is not a number"),
+    # the last four exited 4, 0, 0 and 0: 2**64 does not fit a Philox key
+    # word, -1 aliased 2**64 - 1, and NaN noise drew the noise-free points
+    ({"kind": "moons", "n": 50, "seed": 2**64}, "seed=18446744073709551616 out of range"),
+    ({"kind": "moons", "n": 50, "seed": -1}, "seed=-1 out of range"),
+    ({"kind": "moons", "n": 50, "noise": math.nan}, "noise=nan must be >= 0"),
+    ({"kind": "multiblobs", "n": 50, "std": -0.3}, "std=-0.3 must be >= 0"),
 ])
 def test_cli_gen_rejects_non_numeric_spec_values(tmp_path, capsys, spec, bad):
     # gen reads every number of its spec as the fit's configs are read:
@@ -435,6 +448,21 @@ def test_cli_validation_exit_codes(tmp_path, blob_csv, capsys):
                      "--kd", "5", "--kl", "30", "--out", str(out)])
         assert code == 2
         assert f"rho={rho} must lie in (0, 1]" in capsys.readouterr().err
+    # a seed outside [0, 2**64), which a cluster at rho 0.5 exited 4 on (or
+    # aliased, for -1) and a grid rejects before any cell runs
+    gridspec = tmp_path / "grid.json"
+    gridspec.write_text(json.dumps({"kd": [5], "kl": [30], "rho": [0.5]}))
+    for seed in (str(2**64), "-1"):
+        capsys.readouterr()
+        code = main(["cluster", str(path), "--rho", "0.5", "--kd", "5", "--kl", "30",
+                     f"--seed={seed}", "--out", str(out)])
+        assert code == 2
+        assert f"seed={seed} out of range" in capsys.readouterr().err
+        code = main(["grid", str(path), "--label-column", "2", "--grid", str(gridspec),
+                     f"--seed={seed}", "--out", str(tmp_path / "g.csv")])
+        assert code == 2
+        assert f"seed={seed} out of range" in capsys.readouterr().err
+    assert not (tmp_path / "g.csv").exists()
     # missing file
     code = main(["cluster", str(tmp_path / "nope.csv"),
                  "--kd", "5", "--kl", "30", "--out", str(out)])
