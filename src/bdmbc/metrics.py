@@ -79,28 +79,13 @@ def _nmi(counts):
     return float(min(max(value, 0.0), 1.0))
 
 
-def _assignment_cost(cost, fixed, skipped=()):
-    """Optimal total over assignments extending the fixed (row, col) pairs,
-    with skipped rows committed to staying unassigned."""
-    r, c = cost.shape
-    used_rows = {f[0] for f in fixed} | set(skipped)
-    rows = [i for i in range(r) if i not in used_rows]
-    cols = [j for j in range(c) if j not in {f[1] for f in fixed}]
-    total = sum(cost[i, j] for i, j in fixed)
-    take = min(r, c) - len(fixed)
-    if take <= 0 or not rows or not cols:
-        return total
-    sub = cost[np.ix_(rows, cols)]
-    ri, ci = linear_sum_assignment(sub)
-    return total + sub[ri, ci].sum()
-
-
 def kuhn_munkres(cost):
     """Minimum-cost injective assignment of min(r, c) rows to columns.
 
     Deterministic among ties: returns the lexicographically smallest
     optimal assignment (rows in order; an unassigned row sorts after any
-    column choice).
+    column choice).  Raises ValueError when the optimal total is past the
+    float range.
     """
     cost = np.asarray(cost, dtype=np.float64)
     if cost.ndim != 2 or cost.size == 0:
@@ -108,31 +93,30 @@ def kuhn_munkres(cost):
     if not np.all(np.isfinite(cost)):
         raise ValueError("cost entries must be finite")
     r, c = cost.shape
-    ri, ci = linear_sum_assignment(cost)
-    optimum = cost[ri, ci].sum()
-    fixed = []
-    skipped = []
-    assigned_cols = set()
-    remaining = min(r, c)
-    tol = 1e-9 * max(1.0, abs(optimum))
-    for row in range(r):
-        if remaining == 0:
-            break
-        choice = None
-        for col in range(c):
-            if col in assigned_cols:
-                continue
-            trial = fixed + [(row, col)]
-            if abs(_assignment_cost(cost, trial, skipped) - optimum) <= tol:
-                choice = col
+    free_rows = np.ones(r, dtype=bool)
+    free_cols = np.ones(c, dtype=bool)
+    fixed_total = 0.0
+    assign = {}
+    # a trial's total may overflow to inf; it then just fails the test
+    with np.errstate(over="ignore"):
+        optimum = cost[linear_sum_assignment(cost)].sum()
+        if not np.isfinite(optimum):
+            raise ValueError("the optimal total is past the float range")
+        tol = 1e-9 * max(1.0, abs(optimum))
+        for row in range(r):
+            if not free_cols.any():
                 break
-        if choice is None:
-            skipped.append(row)  # every optimal assignment leaves this row out
-            continue
-        fixed.append((row, choice))
-        assigned_cols.add(choice)
-        remaining -= 1
-    return dict(fixed)
+            free_rows[row] = False
+            for col in np.flatnonzero(free_cols):
+                free_cols[col] = False
+                sub = cost[np.ix_(free_rows, free_cols)]
+                total = fixed_total + cost[row, col] + sub[linear_sum_assignment(sub)].sum()
+                if abs(total - optimum) <= tol:
+                    assign[row] = int(col)
+                    fixed_total += cost[row, col]
+                    break
+                free_cols[col] = True
+    return assign
 
 
 def matched_f1_accuracy(true_labels, pred_labels):
@@ -141,23 +125,13 @@ def matched_f1_accuracy(true_labels, pred_labels):
 
 
 def _f1_accuracy(counts):
-    r = counts.shape[0]
     assign = kuhn_munkres(-counts.astype(np.float64))
-    matched = {cls: clu for cls, clu in assign.items()}
-    correct = sum(counts[cls, clu] for cls, clu in matched.items())
-    acc = correct / counts.sum()
-    f1s = []
-    for cls in range(r):
-        if cls in matched:
-            clu = matched[cls]
-            tp = counts[cls, clu]
-            fp = counts[:, clu].sum() - tp
-            fn = counts[cls].sum() - tp
-            denom = 2 * tp + fp + fn
-            f1s.append(2 * tp / denom if denom > 0 else 0.0)
-        else:
-            f1s.append(0.0)  # class got no matched cluster: precision 0
-    return float(np.mean(f1s)), float(acc)
+    cls = np.array(list(assign), dtype=np.intp)
+    clu = np.array(list(assign.values()), dtype=np.intp)
+    tp = counts[cls, clu]
+    f1 = np.zeros(counts.shape[0])  # a class with no matched cluster scores 0
+    f1[cls] = 2 * tp / (counts.sum(axis=1)[cls] + counts.sum(axis=0)[clu])
+    return float(f1.mean()), float(tp.sum() / counts.sum())
 
 
 def metric_report(true_labels, pred_labels):

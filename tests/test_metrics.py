@@ -219,6 +219,8 @@ def test_km_identity_cost():
 
 def test_km_two_by_two():
     assert kuhn_munkres(np.array([[1.0, 2.0], [2.0, 1.0]])) == {0: 0, 1: 1}
+    # a finite optimum whose losing trials overflow to inf
+    assert kuhn_munkres(np.array([[1e308, 0.0], [0.0, 1e308]])) == {0: 1, 1: 0}
 
 
 def test_km_lexicographic_tie_break():
@@ -231,11 +233,15 @@ def test_km_lexicographic_tie_break():
 
 def test_km_matches_brute_force():
     rng = np.random.default_rng(2)
-    for trial in range(40):
+    for trial in range(100):
         r = int(rng.integers(1, 7))
         c = int(rng.integers(1, 7))
-        # quantized costs provoke ties
-        cost = np.round(rng.random((r, c)) * 4) / 4
+        if trial < 40:
+            # quantized costs provoke ties
+            cost = np.round(rng.random((r, c)) * 4) / 4
+        else:
+            # negated counts, as F1 matches them: zero and repeated cells
+            cost = -rng.integers(0, 4, (r, c)).astype(np.float64)
         got = kuhn_munkres(cost)
         total = sum(cost[i, j] for i, j in got.items())
         best_total, best_map = assignment_oracle(cost)
@@ -248,6 +254,8 @@ def test_km_errors():
         kuhn_munkres(np.empty((0, 0)))
     with pytest.raises(ValueError):
         kuhn_munkres(np.array([[np.inf]]))
+    with pytest.raises(ValueError):
+        kuhn_munkres(np.full((2, 2), 1e308))  # the optimum overflows
 
 
 # ----------------------------------------------------- matched F1/accuracy
@@ -320,3 +328,28 @@ def test_metric_report_equals_single_measures_bit_for_bit():
         f1, acc = matched_f1_accuracy(t, p)
         expected = {"ari": ari(t, p), "nmi": nmi(t, p), "f1": f1, "acc": acc}
         assert metric_report(t, p) == expected, (t, p)
+
+
+def test_f1_accuracy_equals_definitional_oracle():
+    """Classes matched by exhaustive search; per-class F1 and accuracy from
+    Python-int counts.  Every case has fewer than eight classes, which numpy
+    sums left to right, as Python's sum does, so the floats agree exactly."""
+    rng = np.random.default_rng(29)
+    cases = list(report_cases())
+    for _ in range(60):
+        n = int(rng.integers(1, 30))
+        cases.append((rng.integers(0, 5, n), rng.integers(0, 6, n)))
+    for t, p in cases:
+        counts = contingency_by_add_at(t, p)
+        matched = dict(assignment_oracle(-counts)[1])
+        f1s = []
+        for cls in range(counts.shape[0]):
+            if cls not in matched:
+                f1s.append(0.0)
+                continue
+            tp = int(counts[cls, matched[cls]])
+            fp = int(counts[:, matched[cls]].sum()) - tp
+            fn = int(counts[cls].sum()) - tp
+            f1s.append(2 * tp / (2 * tp + fp + fn))
+        accuracy = sum(int(counts[i, j]) for i, j in matched.items()) / len(t)
+        assert matched_f1_accuracy(t, p) == (sum(f1s) / len(f1s), accuracy), (t, p)
