@@ -64,19 +64,6 @@ def subsample(n, s, rng):
     return rng.choice(n, size=s, replace=False)
 
 
-def _count_members(hits_at, positions, count, pos, k_d):
-    """Advance member counts over order positions, in place.
-
-    hits_at(j) flags, per counter, whether position j holds a subsample
-    member; pos counts the positions passed before the k_d-th member.
-    """
-    for j in positions:
-        count += hits_at(j)
-        pos += count < k_d
-        if j % 16 == 15 and count.min() >= k_d:
-            break  # every counter is done: later positions add nothing
-
-
 def _rank_reach(n, plan):
     """Positions of a self-excluded neighbor row that the rank table reads:
     a round's k_d-th member lies among the first k_d + n - s, since only
@@ -91,16 +78,13 @@ def _bagged_rank_table(table, plan):
     least _rank_reach wide.  In a round, point i's k_d-distance is
     distances[i, p], where p is the position of the k_d-th subsample member
     along indices[i] (i itself is absent, so it never counts).  Members are
-    counted position by position for every (point, round) pair at once, over
-    a short window of about twice the expected position; pairs still short
-    of k_d members then continue alone up to the reach.  Rounds are counted
+    counted position by position for every (point, round) pair at once, up
+    to the reach or until every pair holds k_d members.  Rounds are counted
     in blocks of _ROUND_BLOCK // n and added in round order.
     """
     order, sorted_dist = table
     n = order.shape[0]
     k_d = plan.k_d
-    full = _rank_reach(n, plan)
-    short = min(full, 2 * -(-k_d * n // plan.s) + 16)
     block = max(_ROUND_BLOCK // n, 1)
     total = np.zeros(n)
     for start in range(0, plan.b, block):
@@ -109,15 +93,14 @@ def _bagged_rank_table(table, plan):
         member = np.zeros((n, stop - start), dtype=np.int16)
         for b in range(start, stop):
             member[subsample(n, plan.s, _rng(plan.seed, b)), b - start] = 1
+        # pos counts the positions passed before the k_d-th member
         count = np.zeros_like(member)
         pos = np.zeros_like(member)
-        _count_members(lambda j: member[order[:, j]], range(short), count, pos, k_d)
-        left, rounds = np.nonzero(count < k_d)
-        if left.size:
-            left_count, left_pos = count[left, rounds], pos[left, rounds]
-            _count_members(lambda j: member[order[left, j], rounds],
-                           range(short, full), left_count, left_pos, k_d)
-            pos[left, rounds] = left_pos
+        for j in range(_rank_reach(n, plan)):
+            count += member[order[:, j]]
+            pos += count < k_d
+            if j % 16 == 15 and count.min() >= k_d:
+                break  # every counter is done: later positions add nothing
         for kth in np.take_along_axis(sorted_dist, pos, axis=1).T:
             total += kth
     return total / plan.b
@@ -146,16 +129,9 @@ def _round_brute(points, sub, k_d):
         # BLAS takes a one-row block through its matrix-vector product,
         # which rounds differently and would split duplicate points' values
         del bounds[-2]
-    # every block reuses one pair of buffers (the last block may hold
-    # chunk + 1 rows); fresh ones cost more than the arithmetic
-    d2_buf = np.empty((chunk + 1, len(sub)))
-    prod_buf = np.empty_like(d2_buf)
     for lo, hi in zip(bounds, bounds[1:]):
-        d2, prod = d2_buf[: hi - lo], prod_buf[: hi - lo]
-        np.add(sq_pts[lo:hi, None], sq_sub[None, :], out=d2)
-        np.matmul(points[lo:hi], sub_pts.T, out=prod)
-        prod *= 2.0
-        d2 -= prod
+        d2 = sq_pts[lo:hi, None] + sq_sub[None, :]
+        d2 -= 2.0 * (points[lo:hi] @ sub_pts.T)
         pos = in_sub[lo:hi]
         has_self = pos >= 0
         d2[np.flatnonzero(has_self), pos[has_self]] = np.inf

@@ -11,9 +11,9 @@ one call, so a score vector's lambdas get their components from one call
 per graph.  A point's nearest core point is the first point along its row
 of the shared neighbor table that scores >= lambda (first_scoring, built
 once per score vector for every lambda), if it survived dissolution; else
-the first surviving core point along the row; for a row holding none, the
-answer of a 1-NN query against the core points.  It depends only on that
-column and the surviving core set, which configs at one lambda share.
+the answer of a 1-NN query against the surviving core points.  It depends
+only on that column and the surviving core set, which configs at one
+lambda share.
 This threshold stage runs on the calling thread, one lambda at a time;
 only the k-NN blocks and brute-force bagging rounds reach the thread pool.
 Everything is deterministic for a fixed seed; component IDs follow each
@@ -245,8 +245,8 @@ def connected_components(masks, edges):
     return labels if masks.ndim == 2 else labels[0]
 
 
-# Rows of the neighbor table that first_scoring and nearest_core scan at a
-# time: gathering every row at once adds to the fit's peak memory.
+# Rows of the neighbor table that first_scoring scans at a time: gathering
+# every row at once adds to the fit's peak memory.
 _FINALIZE_ROWS = 1024
 
 
@@ -266,30 +266,21 @@ def first_scoring(scores, nbr, lams):
     return first
 
 
-def nearest_core(points, nbr, first, core_mask):
+def nearest_core(points, first, core_mask):
     """Each point's nearest point of core_mask under the (distance, index)
     rule, itself for a core point; core_mask must hold a point.
 
-    nbr is an exact self-excluded neighbor table of the points, any width,
-    ordered by (distance, index), and first is each row's first neighbor
-    along it inside a superset of core_mask, or -1: a column of
+    first is each point's nearest other point, under the same rule, inside
+    a superset of core_mask, or -1 where it is not known: a column of
     first_scoring when core_mask is what survived dissolution at that
-    lambda.  A point takes its first one if that is in core_mask; a row
-    whose first one is not is scanned for its first point of core_mask;
-    only rows left without one are queried against an index over the core
-    points, which numbers them in ascending index order and so breaks ties
-    the same way.
+    lambda.  A point takes its first one if that is in core_mask, since no
+    point of the subset lies nearer.  Every other point is queried against
+    an index over the core points, which numbers them in ascending index
+    order and so breaks ties the same way.
     """
     nearest = np.where(core_mask, np.arange(len(core_mask)), first)
-    rescan = np.flatnonzero(nearest >= 0)
-    rescan = rescan[~core_mask[nearest[rescan]]]
-    for lo in range(0, rescan.size, _FINALIZE_ROWS):
-        at = rescan[lo : lo + _FINALIZE_ROWS]
-        rows = nbr[at]
-        hit = core_mask[rows]
-        pos = np.arange(len(rows)), np.argmax(hit, axis=1)
-        nearest[at] = np.where(hit[pos], rows[pos], -1)
-    missing = np.flatnonzero(nearest < 0)
+    # a -1 reads core_mask's last entry, but is missing either way
+    missing = np.flatnonzero((nearest < 0) | ~core_mask[nearest])
     if missing.size:
         core = np.flatnonzero(core_mask)
         found, _ = SpatialIndex(points[core]).query_bulk(points[missing], 1)
@@ -345,7 +336,9 @@ def _fits(points, configs, timings):
     lambdas that call runs on the k_g graph's spanning_forest, which costs
     more to build than one call on the graph.  The lambdas then run one at
     a time on the calling thread, each running nearest_core once per
-    distinct surviving core set.  finalize runs once per config and is
+    distinct surviving core set: the first_scoring column answers each
+    non-core row whose first point survived, an index over the surviving
+    core points every other one.  finalize runs once per config and is
     looked up by name, so the benchmark's tracer sees every call.
 
     timings gets "index" for the index build, "bagged_kdist" for the
@@ -399,7 +392,7 @@ def _fits(points, configs, timings):
                 def nearest(core):
                     key = core.tobytes()
                     if key not in memo:
-                        memo[key] = nearest_core(points, nbr, first[:, j], core)
+                        memo[key] = nearest_core(points, first[:, j], core)
                     return memo[key]
 
                 for c in cells:

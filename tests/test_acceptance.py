@@ -180,7 +180,7 @@ def test_05_degenerate_equivalence():
         nbr, _ = idx.query_bulk(pts, kg, exclude=np.arange(n))
         first = first_scoring(scores, nbr, [lam])[:, 0]
         labels, core, num = finalize(prov, mask, cfg.effective_min_cluster_size(),
-                                     lambda core: nearest_core(pts, nbr, first, core))
+                                     lambda core: nearest_core(pts, first, core))
         same = (np.array_equal(bagged_res.labels, labels)
                 and np.array_equal(bagged_res.plls, scores)
                 and np.array_equal(bagged_res.core_mask, core)

@@ -27,7 +27,7 @@ from bdmbc.cluster import (
 from bdmbc.data import Dataset, _rng, gen_multiblobs
 from bdmbc.knn import SpatialIndex
 from bdmbc.plls import empirical_plls, mode_set
-from oracles import dmbc_plls, finalize_by_tree
+from oracles import dmbc_plls, finalize_by_tree, hostile_set, pairwise_order
 
 
 def brute_edges(points, k_g):
@@ -232,7 +232,7 @@ def finalize_on(points, provisional, core_mask, min_cluster_size):
     nbr = table(points)
     first = first_scoring(np.asarray(core_mask, dtype=np.float64), nbr, [1.0])[:, 0]
     return finalize(provisional, core_mask, min_cluster_size,
-                    lambda core: nearest_core(points, nbr, first, core))
+                    lambda core: nearest_core(points, first, core))
 
 
 def test_first_scoring_is_the_first_neighbor_at_or_above_lambda():
@@ -320,9 +320,8 @@ def finalize_cases():
 @pytest.mark.parametrize("width", [1, 15, 100])
 def test_finalize_reads_table_like_the_tree_oracle(width, monkeypatch):
     # a non-core row takes its first point scoring >= lambda if that point
-    # survived dissolution, rescans its table row if it was dissolved, and
-    # falls back to a core index if the row holds no surviving core point;
-    # the index is built only then
+    # survived dissolution, and is queried against a core index if that
+    # point was dissolved or the row holds none; the index is built only then
     built = []
     init = SpatialIndex.__init__
 
@@ -330,7 +329,7 @@ def test_finalize_reads_table_like_the_tree_oracle(width, monkeypatch):
         built.append(len(points))
         init(self, points)
 
-    direct = rescanned = rescan_found = fallbacks = 0
+    direct = queried = 0
     for name, pts, scores, cells in finalize_cases():
         nbr = table(pts, width)
         lams = [lam for lam, *_ in cells]
@@ -341,7 +340,7 @@ def test_finalize_reads_table_like_the_tree_oracle(width, monkeypatch):
             monkeypatch.setattr(SpatialIndex, "__init__", record)
             built.clear()
             got = finalize(provisional, mask, min_size,
-                           lambda core: nearest_core(pts, nbr, col, core))
+                           lambda core: nearest_core(pts, col, core))
             monkeypatch.undo()
             case = (name, width, lam, min_size)
             assert np.array_equal(got[0], expected[0]), case
@@ -349,18 +348,44 @@ def test_finalize_reads_table_like_the_tree_oracle(width, monkeypatch):
             assert got[2] == expected[2], case
             core = expected[1]
             rows = np.flatnonzero(~core)
-            covered = core[nbr[rows]].any(axis=1)
             hit = col[rows] >= 0
             survived = hit & core[np.where(hit, col[rows], 0)]
-            assert len(built) == int(bool(np.any(core)) and not covered.all()), case
+            query = np.count_nonzero(~survived) * bool(np.any(core))
+            assert len(built) == int(query > 0), case
             direct += np.count_nonzero(survived)
-            rescanned += np.count_nonzero(hit & ~survived)
-            rescan_found += np.count_nonzero(hit & ~survived & covered)
-            fallbacks += np.count_nonzero(~covered) * bool(np.any(core))
+            queried += query
     assert direct > 0
-    assert rescanned > 0
-    assert rescan_found > 0 or width == 1  # one column: a rescan finds nothing
-    assert fallbacks > 0
+    assert queried > 0
+
+
+def test_nearest_core_equals_brute_force_oracle():
+    # first is each point's nearest other point of a random superset of the
+    # core mask, or -1: rows whose first point was dropped from the superset,
+    # rows of a table too narrow to hold one, and an all -1 column; on
+    # continuous, lattice and duplicate points
+    rng = _rng(9, 0)
+    kinds = {"first kept": 0, "first dropped": 0, "no first": 0}
+    for trial in range(60):
+        n = int(rng.integers(2, 120))
+        pts = hostile_set(rng, ("continuous", "lattice", "duplicates")[trial % 3], n,
+                          int(rng.integers(1, 4)))
+        order, _ = pairwise_order(pts)  # self parked last
+        superset = rng.random(n) < rng.random()
+        superset[rng.integers(n)] = True
+        core = superset & (rng.random(n) < rng.random())
+        core[rng.choice(np.flatnonzero(superset))] = True
+        width = int(rng.integers(1, n))
+        first = first_scoring(superset.astype(np.float64), order[:, :width], [1.0])[:, 0]
+        if trial % 10 == 9:
+            first[:] = -1
+        got = nearest_core(pts, first, core)
+        expected = [i if core[i] else next(j for j in order[i] if core[j]) for i in range(n)]
+        assert np.array_equal(got, expected), trial
+        hit = np.flatnonzero(~core & (first >= 0))
+        kinds["first kept"] += np.count_nonzero(core[first[hit]])
+        kinds["first dropped"] += np.count_nonzero(~core[first[hit]])
+        kinds["no first"] += np.count_nonzero(~core & (first < 0))
+    assert min(kinds.values()) > 0, kinds
 
 
 # --------------------------------------------------------------- bdmbc_fit
@@ -556,7 +581,7 @@ def test_fit_equals_public_stage_composition(quantized, bagged):
     first = first_scoring(scores, nbr, [cfg.lam])[:, 0]
     labels, core, num = finalize(connected_components(mask, edges), mask,
                                  cfg.effective_min_cluster_size(),
-                                 lambda core: nearest_core(pts, nbr, first, core))
+                                 lambda core: nearest_core(pts, first, core))
     modes = mode_set(scores)
     assert np.array_equal(res.plls, scores)
     assert np.array_equal(res.labels, labels)

@@ -97,9 +97,9 @@ def test_grid_cells_share_their_threshold_stage(monkeypatch):
     calls, rows = {}, {}
     nearest_core = bdmbc.cluster.nearest_core
     for threads in ("1", "3"):
-        def counted(points, nbr, first, core_mask, into=calls.setdefault(threads, [])):
+        def counted(points, first, core_mask, into=calls.setdefault(threads, [])):
             into.append(core_mask.tobytes())
-            return nearest_core(points, nbr, first, core_mask)
+            return nearest_core(points, first, core_mask)
 
         monkeypatch.setattr(bdmbc.cluster, "nearest_core", counted)
         monkeypatch.setenv("BDMBC_THREADS", threads)
