@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .data import _points, _rng
-from .knn import SpatialIndex, ordered_map
+from .knn import SpatialIndex, exact_distances, ordered_map
 
 # Up to this size one exact self-excluded k-NN table, as wide as the rank
 # table reaches, serves all bagging rounds; above it, per-round scans
@@ -143,13 +143,19 @@ def _round_brute(points, sub, k_d):
     return np.sqrt(out)
 
 
+def _kth_distance(points, kth):
+    """Each point's distance to points[kth[i]], its k-th neighbor: the
+    distance column that the k-NN query found it by, bit for bit."""
+    return exact_distances(points, points, kth[:, None])[:, 0]
+
+
 def _round_tree(points, sub, k_d):
     # Exclusion works in subsample coordinates: each global point maps to
     # its subsample position, or to -1 (excluding nothing) if absent.
     pos = np.full(points.shape[0], -1, dtype=np.int64)
     pos[sub] = np.arange(len(sub))
-    _, dist = SpatialIndex(points[sub]).query_bulk(points, k_d, exclude=pos)
-    return dist[:, -1]
+    nbr, _ = SpatialIndex(points[sub]).query_bulk(points, k_d, exclude=pos, distances=False)
+    return _kth_distance(points, sub[nbr[:, -1]])
 
 
 def _bagged_per_round(points, plan):
@@ -180,15 +186,18 @@ def _bagged_per_round(points, plan):
 
 
 def _table_width(n, plans):
-    """Columns of the self-excluded k-NN table of n points that bagging
-    reads for these plans: the reach for the rank table (n <=
-    _RANK_TABLE_MAX_N, s < n), k_d at s == n, none for per-round scans.
+    """(width, distances): the columns of the self-excluded k-NN table of
+    n points that bagging reads for these plans, and whether it reads their
+    distances.  The rank table (n <= _RANK_TABLE_MAX_N, s < n) reads indices
+    and distances up to its reach; s == n reads the index column k_d - 1
+    and recomputes its distances (_kth_distance); per-round scans read none.
 
     The grid's trimodal plan (n=2000, s=1800, k_d=300) reaches 500 of the
     1999 columns, so its shared table is as wide as k_l = 750."""
-    return max((plan.k_d if plan.s == n
-                else _rank_reach(n, plan) if n <= _RANK_TABLE_MAX_N else 0
-                for plan in plans), default=0)
+    rank = [plan for plan in plans if plan.s < n <= _RANK_TABLE_MAX_N]
+    width = max([_rank_reach(n, plan) for plan in rank]
+                + [plan.k_d for plan in plans if plan.s == n], default=0)
+    return width, bool(rank)
 
 
 def bagged_k_distance(ds, plan, table=None):
@@ -200,21 +209,22 @@ def bagged_k_distance(ds, plan, table=None):
     the points' self-excluded k-NN table, (indices, distances) at least that
     wide (the rank table's reach, k_d + n - s, or k_d at s == n): pass
     table= to share one with other stages, as the grid and the fit do, or
-    it is queried here.
+    it is queried here.  At s == n only the indices are read, and the
+    distances entry may be None.
     """
     points = _points(ds)
     n = points.shape[0]
     plan.validate(n)
-    width = _table_width(n, [plan])
+    width, distances = _table_width(n, [plan])
     if width == 0:
         return _bagged_per_round(points, plan)
     if table is None:
         idx = SpatialIndex(points)
-        table = idx.query_bulk(idx.points, width, exclude=np.arange(n))
+        table = idx.query_bulk(idx.points, width, exclude=np.arange(n), distances=distances)
     if plan.s == n:
         # Every round sees the full data, so the average is the plain
         # k-distance regardless of B.
-        return table[1][:, plan.k_d - 1].copy()
+        return _kth_distance(points, table[0][:, plan.k_d - 1])
     return _bagged_rank_table(table, plan)
 
 

@@ -182,7 +182,7 @@ def build_kg_graph(idx, k_g):
     n = idx.n
     if not 1 <= k_g <= n - 1:
         raise ValueError(f"k_g={k_g} out of range [1, {n - 1}]")
-    nbr, _ = idx.query_bulk(idx.points, k_g, exclude=np.arange(n))
+    nbr, _ = idx.query_bulk(idx.points, k_g, exclude=np.arange(n), distances=False)
     return np.unique(np.sort(graph_from_neighbors(nbr), axis=1), axis=0)
 
 
@@ -283,7 +283,7 @@ def nearest_core(points, first, core_mask):
     missing = np.flatnonzero((nearest < 0) | ~core_mask[nearest])
     if missing.size:
         core = np.flatnonzero(core_mask)
-        found, _ = SpatialIndex(points[core]).query_bulk(points[missing], 1)
+        found, _ = SpatialIndex(points[core]).query_bulk(points[missing], 1, distances=False)
         nearest[missing] = core[found[:, 0]]
     return nearest
 
@@ -329,7 +329,9 @@ def _fits(points, configs, timings):
 
     One index and one exact self-query serve every stage.  The query is as
     wide as the largest k_l or k_g, or as the columns the bagging rounds
-    read (bagging._table_width), and every plan's rounds read it.  Configs
+    read (bagging._table_width), and every plan's rounds read it.  Its
+    indices are int32, and it holds distances only when some plan's rank
+    table reads them: the other stages read indices alone.  Configs
     with equal plans share one bagging pass; with equal (plan, k_l), one
     score vector, one first_scoring table over their lambdas and, per k_g,
     one connected_components call that labels every lambda.  With several
@@ -354,15 +356,16 @@ def _fits(points, configs, timings):
     t0 = time.perf_counter()
     idx = SpatialIndex(points)
     t1 = time.perf_counter()
-    read = _table_width(n, groups)
-    table = idx.query_bulk(idx.points, max(width, read), exclude=np.arange(n))
+    read, distances = _table_width(n, groups)
+    table = idx.query_bulk(idx.points, max(width, read), exclude=np.arange(n),
+                           distances=distances)
     t2 = time.perf_counter()
     bagged = {plan: bagged_k_distance(points, plan, table=table) for plan in groups}
     t3 = time.perf_counter()
     timings.update(index=t1 - t0, bagged_kdist=t3 - (t1 if read else t2),
                    plls=0.0 if read else t2 - t1, graph=0.0, components=0.0, finalize=0.0)
     nbr = table[0][:, :width]
-    del idx, table  # later stages read only nbr: free the tree and the distances
+    del idx, table  # later stages read only nbr: free the tree and any distances
     for plan, by_kl in groups.items():
         for kl, cells in by_kl.items():
             t0 = time.perf_counter()

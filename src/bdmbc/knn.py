@@ -24,12 +24,15 @@ not with copies.  A query of the index's own point matrix takes the
 index's locations as its groups.
 
 Each window pass runs in blocks of query locations, sized in elements of
-the (rows, candidates, d) difference array (_BLOCK_DIMS) and of the (rows,
+the (rows, candidates, d) differences (_BLOCK_DIMS) and of the (rows,
 candidates) distance arrays (_BLOCK_WINDOW), so memory grows neither with
-dimension nor with the window.  A query whose first pass spans several blocks
-forms them from the locations in k-d leaf order, so the rows of one block
-walk the same branches of the tree; a self-query reads that order from
-the index's own tree instead of building a second one.  Large passes
+dimension nor with the window.  A block forms its differences in row
+slices of at most _DIFF_ELEMENTS elements (exact_distances), so each
+block in flight holds about 1 MiB of them.  A query whose first pass
+spans several blocks forms them from the locations in k-d leaf order, so
+the rows of one block walk the same branches of the tree; a self-query
+reads that order from the index's own tree instead of building a second
+one.  Large passes
 hand whole blocks (tree query, exact distances, sort, tie test and the
 writes of the block's rows) to ordered_map, the package's one thread pool;
 every block writes only its own rows, and a row's result never depends on
@@ -56,8 +59,8 @@ _TIE_PAD = 8
 _ROW_CHUNK = 1024
 # A block holds _ROW_CHUNK rows of the query's first window of kq
 # locations while kq <= _BLOCK_WINDOW and d <= _BLOCK_DIMS, and fewer rows
-# above either or in wider retries, so its (rows, kq, d) difference array
-# holds at most _ROW_CHUNK x min(kq, _BLOCK_WINDOW) x _BLOCK_DIMS elements
+# above either or in wider retries, so its (rows, kq, d) differences
+# number at most _ROW_CHUNK x min(kq, _BLOCK_WINDOW) x _BLOCK_DIMS
 # and its (rows, kq) arrays, and the lists it writes, at most _ROW_CHUNK x
 # _BLOCK_WINDOW.  With _ROW_CHUNK rows at any d, a self-query of 4000
 # standard-normal points at d=784, k=50 peaked at 1463 MiB (tracemalloc);
@@ -65,6 +68,17 @@ _ROW_CHUNK = 1024
 # then read all n - 1 neighbors, peaked at 320-326 MB RSS instead of 160 MB.
 _BLOCK_DIMS = 16
 _BLOCK_WINDOW = 128
+# Elements of one (rows, kq, d) difference array (1 MiB): exact_distances
+# forms a block's differences in row slices of at most this many, so the
+# blocks in flight hold a few MiB of them, not tens.  The 20k x 10 blobs
+# fit at k_d=100, s == n, peaked at 36.7 MiB (tracemalloc, three threads)
+# with a whole block's differences at once and at 19.7 MiB in slices.
+# Self-query time, one thread, median of 5 interleaved runs, 2-core
+# x86_64, in slices of 2^15 / 2^16 / 2^17 / 2^18 elements / whole blocks:
+#   20k 10-D blobs, k=100              1.09  1.17  1.14  1.23  1.19 s
+#   20k 10-D blobs, k=15               0.73  0.59  0.55  0.60  0.58 s
+#   2k normal points, d=784, k=50      1.97  1.82  1.99  2.18  2.15 s
+_DIFF_ELEMENTS = 1 << 17
 # Points per k-d tree leaf, for the index's tree and for the tree that puts
 # query sites in leaf order.  Self-query at k=50 of 20k 10-D blobs (ten
 # clusters, sd 0.3), 2-core x86_64: leaf size 16 took 0.60 s, 32 took
@@ -166,6 +180,33 @@ def _ranges(starts, sizes):
     return np.arange(ends[-1] if ends.size else 0) + np.repeat(starts - ends + sizes, sizes)
 
 
+def exact_distances(points, queries, targets=None):
+    """(m, kq) Euclidean distances from each query row to the rows of
+    points that its row of targets names, default every row of points.
+
+    The (rows, kq, d) differences are formed in row slices of at most
+    _DIFF_ELEMENTS elements.  A distance is the same IEEE expression on the
+    same operands whatever the slice, the shape of targets or the caller,
+    so a distance recomputed from an index equals the k-NN query's own bit
+    for bit.
+    """
+    kq = points.shape[0] if targets is None else targets.shape[1]
+    out = np.empty((queries.shape[0], kq))
+    step = max(_DIFF_ELEMENTS // (kq * points.shape[1]), 1)
+    for lo in range(0, queries.shape[0], step):
+        rows = queries[lo : lo + step, None, :]
+        if targets is None:
+            diff = points - rows
+        else:
+            # the gather is a fresh array, so subtracting in place leaves
+            # one temporary instead of two
+            diff = points[targets[lo : lo + step]]
+            diff -= rows
+        np.sqrt(np.einsum("ijk,ijk->ij", diff, diff), out=out[lo : lo + step])
+        del diff  # before the next slice is formed beside it
+    return out
+
+
 class SpatialIndex:
     """Immutable exact k-NN index over a point matrix.
 
@@ -184,26 +225,16 @@ class SpatialIndex:
         self._locations = pts if self._lowest.size == self.n else pts[self._lowest]
         self._tree = cKDTree(self._locations, leafsize=_LEAF_SIZE)
 
-    def _exact_distances(self, queries, locations=None):
-        """Each query row's distances to its locations, default every
-        location, through one (rows, kq, d) difference array."""
-        if locations is None:
-            diff = self._locations - queries[:, None, :]
-        else:
-            # the gather is a fresh array, so subtracting in place leaves
-            # one temporary instead of two
-            diff = self._locations[locations]
-            diff -= queries[:, None, :]
-        return np.sqrt(np.einsum("ijk,ijk->ij", diff, diff))
-
-    def query_bulk(self, queries, k, exclude=None):
+    def query_bulk(self, queries, k, exclude=None, distances=True):
         """Exact k nearest neighbors for each query row.
 
         exclude: optional vector of dataset indices, one per query row,
         each omitted from its own row's list (self-exclusion by exact
         index); an entry outside [0, n) excludes nothing.
         Returns (indices, distances), each (m, k), ordered by the
-        (distance, index) key.
+        (distance, index) key.  Indices are int32 when n < 2**31, else
+        int64; distances are float64.  With distances=False no distance
+        array is kept or written, and the second entry is None.
         """
         self_query = queries is self.points
         queries = np.ascontiguousarray(np.atleast_2d(np.asarray(queries, dtype=np.float64)))
@@ -233,11 +264,11 @@ class SpatialIndex:
         kq = min(self._lowest.size, kk + _TIE_PAD)
         if kq >= _WHOLE_WINDOW_SHARE * self._lowest.size:
             kq = self._lowest.size
-        # every window runs in blocks of at most budget (rows, kq, d)
-        # difference elements, at most worker_count() blocks at a time
+        # every window runs in blocks of at most budget (rows x kq x d)
+        # elements, at most worker_count() blocks at a time
         budget = _ROW_CHUNK * min(kq, _BLOCK_WINDOW) * min(self.d, _BLOCK_DIMS)
-        out_idx = np.empty((m, k), dtype=np.int64)
-        out_dist = np.empty((m, k), dtype=np.float64)
+        out_idx = np.empty((m, k), dtype=np.int32 if self.n < 2**31 else np.int64)
+        out_dist = np.empty((m, k), dtype=np.float64) if distances else None
 
         def run_block(block):
             # one block of this pass's kq-wide window: writes only the rows at
@@ -249,14 +280,16 @@ class SpatialIndex:
             chunk = max(_ROW_CHUNK * min(kk, _BLOCK_WINDOW) // kk, 1)
             for lo in range(0, rows.size, chunk):
                 row, own = rows[lo : lo + chunk], owner[lo : lo + chunk]
-                row_idx, row_dist = nbr[own], dist[own]
+                row_idx = nbr[own]
+                keep = slice(None)
                 if exclude is not None:
                     # each row drops its excluded index, or else the (k+1)-th
                     keep = row_idx != exclude[row, None]
                     keep[:, k] &= ~keep.all(axis=1)
                     row_idx = row_idx[keep].reshape(-1, k)
-                    row_dist = row_dist[keep].reshape(-1, k)
-                out_idx[row], out_dist[row] = row_idx, row_dist
+                out_idx[row] = row_idx
+                if distances:
+                    out_dist[row] = dist[own][keep].reshape(-1, k)
             return block[tied]
 
         pending = np.arange(first.size)
@@ -281,13 +314,13 @@ class SpatialIndex:
         if not whole:
             edge, cand = self._tree.query(queries, kq)  # 1-D when kq == 1
             edge, cand = edge.reshape(len(queries), -1)[:, -1], cand.reshape(len(queries), -1)
-            dist = self._exact_distances(queries, cand)
+            dist = exact_distances(self._locations, queries, cand)
         else:
             # a window of every location needs no tree walk, and its
             # candidates are the locations in order
             cand = np.broadcast_to(np.arange(kq), (len(queries), kq))
             edge = np.inf
-            dist = self._exact_distances(queries)
+            dist = exact_distances(self._locations, queries)
         # Locations are numbered in the order of their lowest members.  An
         # unstable sort by distance is exact unless a row holds equal
         # distances; only those rows need the (distance, location) sort, and

@@ -25,7 +25,7 @@ def empirical_plls(ds, idx, bagged, k_l):
     bagged = np.asarray(bagged, dtype=np.float64)
     if bagged.shape != (n,):
         raise ValueError(f"bagged distances have length {bagged.shape}, expected {n}")
-    nbr, _ = idx.query_bulk(points, k_l, exclude=np.arange(n))
+    nbr, _ = idx.query_bulk(points, k_l, exclude=np.arange(n), distances=False)
     return plls_from_neighbors(bagged, nbr)
 
 

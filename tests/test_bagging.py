@@ -160,13 +160,19 @@ def test_weights_parameter_errors():
 
 
 def test_degenerate_plan_is_bitwise_plain_k_distance():
-    rng = _rng(1, 11)
-    pts = rng.random((150, 3))
-    idx = SpatialIndex(pts)
-    plain = k_distances(idx, 7)
-    for b in (1, 4):
-        bagged = bagged_k_distance(pts, BaggingPlan(b=b, s=150, k_d=7, seed=0))
-        assert np.array_equal(bagged, plain)
+    # at s == n the k_d-distance is recomputed from the table's index
+    # column, bit for bit the query's own distance column, on plain,
+    # 0.25-quantized and duplicate-heavy points
+    for d in (1, 2, 3, 10, 64, 784):
+        rng = _rng(1, 11)
+        points = rng.random((150, d))
+        sets = {"plain": points, "quantized": np.round(points * 4) / 4,
+                "duplicated": points[rng.integers(0, 30, 150)]}
+        for name, pts in sets.items():
+            plain = k_distances(SpatialIndex(pts), 7)
+            for b in (1, 4):
+                bagged = bagged_k_distance(pts, BaggingPlan(b=b, s=150, k_d=7, seed=0))
+                assert np.array_equal(bagged.view(np.uint64), plain.view(np.uint64)), (d, name)
 
 
 def test_identical_points_zero_distance():

@@ -499,9 +499,9 @@ def test_fit_builds_an_index_only_when_it_queries_one(monkeypatch):
         init(self, points)
         built.append(self.n)
 
-    def record_query(self, queries, k, exclude=None):
+    def record_query(self, queries, k, exclude=None, distances=True):
         queried.append((self.n, len(queries)))
-        return query_bulk(self, queries, k, exclude=exclude)
+        return query_bulk(self, queries, k, exclude=exclude, distances=distances)
 
     monkeypatch.setattr(SpatialIndex, "__init__", record_init)
     monkeypatch.setattr(SpatialIndex, "query_bulk", record_query)
@@ -520,6 +520,21 @@ def test_fit_builds_an_index_only_when_it_queries_one(monkeypatch):
         assert built.count(ds.n) == 1, built
         assert [q for q in queried if q[0] == ds.n] == [(ds.n, ds.n)], queried
         assert "index" in res.timings
+
+
+def test_full_fit_peak_memory():
+    # an s == n fit reads the neighbor table's indices alone, int32, and
+    # its k-NN blocks form their differences in 1 MiB slices; with int64
+    # indices, float64 distances and whole-block differences this fit
+    # peaked at 43.1 MiB at one thread and 55.3 MiB at three
+    ds = gen_multiblobs(20000, 10, 10, seed=3)
+    tracemalloc.start()
+    try:
+        bdmbc_fit(ds, BdmbcConfig(k_d=100, k_l=50, b=1, rho=1.0, k_g=15))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 28 * 2**20, f"peak {peak / 2**20:.1f} MiB"
 
 
 def test_fit_deterministic():

@@ -332,10 +332,10 @@ def test_grid_table_from_pairwise_order_equals_query(monkeypatch):
         init(self, points)
         built.append(self.n)
 
-    def record_query(self, queries, k, exclude=None):
+    def record_query(self, queries, k, exclude=None, distances=True):
         if self.n == ds.n:
             full_queries.append((len(queries), k))
-        return query_bulk(self, queries, k, exclude=exclude)
+        return query_bulk(self, queries, k, exclude=exclude, distances=distances)
 
     monkeypatch.setattr(SpatialIndex, "__init__", record_init)
     monkeypatch.setattr(SpatialIndex, "query_bulk", record_query)
@@ -345,10 +345,10 @@ def test_grid_table_from_pairwise_order_equals_query(monkeypatch):
 
     order, sorted_dist = pairwise_order(ds.points)
 
-    def sliced_query(self, queries, k, exclude=None):
+    def sliced_query(self, queries, k, exclude=None, distances=True):
         if self.n == ds.n:
-            return order[:, :k], sorted_dist[:, :k]
-        return query_bulk(self, queries, k, exclude=exclude)
+            return order[:, :k], sorted_dist[:, :k] if distances else None
+        return query_bulk(self, queries, k, exclude=exclude, distances=distances)
 
     monkeypatch.setattr(SpatialIndex, "query_bulk", sliced_query)
     sliced = grid_search(ds, grid, seed=1)

@@ -16,7 +16,7 @@ from bdmbc.knn import (
     SpatialIndex,
     ordered_map,
 )
-from oracles import hostile_set, k_distances
+from oracles import hostile_set, k_distances, pairwise_order
 
 
 def brute_knn(points, x, k, exclude_index=None):
@@ -111,6 +111,37 @@ def test_self_excluded_queries_match_brute_force(seed):
     # bulk k-distances equal the last oracle column
     kd = k_distances(idx, k)
     assert np.array_equal(kd, got_dist[:, -1])
+
+
+@pytest.mark.parametrize("exclude", [False, True])
+def test_indices_only_query_writes_no_distances(exclude):
+    # int32 indices, equal to those of the query that writes distances, on
+    # data with duplicate and tied points, in a narrow and a whole window
+    rng = _rng(4, 117)
+    pts = np.round(rng.random((400, 3)) * 4) / 4
+    n = len(pts)
+    idx = SpatialIndex(pts)
+    for k in (5, 200):
+        excl = np.arange(n) if exclude else None
+        nbr, dist = idx.query_bulk(pts, k, exclude=excl)
+        only, none = idx.query_bulk(pts, k, exclude=excl, distances=False)
+        assert none is None and dist.dtype == np.float64
+        assert nbr.dtype == only.dtype == np.int32
+        assert np.array_equal(only, nbr)
+
+
+@pytest.mark.parametrize("d, n, k", [(784, 100, 10), (10, 600, 200)])
+def test_blocks_of_several_difference_slices_match_brute_force(d, n, k):
+    # a block's differences span several _DIFF_ELEMENTS slices: at d=784
+    # in a tree window, at d=10 in a window of every location (kq = n)
+    pts = _rng(d, 118).standard_normal((n, d))
+    kq = k + 1 + _TIE_PAD if d == 784 else n
+    block = _ROW_CHUNK * min(kq, knn._BLOCK_WINDOW) * min(d, knn._BLOCK_DIMS) // (kq * d)
+    assert block > 2 * (knn._DIFF_ELEMENTS // (kq * d))
+    order, sorted_dist = pairwise_order(pts)
+    nbr, dist = SpatialIndex(pts).query_bulk(pts, k, exclude=np.arange(n))
+    assert np.array_equal(nbr, order[:, :k])
+    assert np.array_equal(dist.view(np.uint64), sorted_dist[:, :k].view(np.uint64))
 
 
 def test_k_distance_monotone_in_k():
@@ -615,21 +646,24 @@ def test_wide_windows_in_bounded_memory(quantized, monkeypatch):
 
 
 def test_exact_distances_hold_one_difference_array():
-    # the gathered candidates are the difference array, not a second copy
+    # the gathered candidates are the difference array, not a second copy,
+    # and it is formed in slices of at most _DIFF_ELEMENTS elements: beside
+    # the output, the peak stays under one slice and a half
     rows, kq, d = 1024, 59, 10
     rng = _rng(1, 111)
-    idx = SpatialIndex(rng.random((2000, d)))
+    points = rng.random((2000, d))
     queries = rng.random((rows, d))
     locations = rng.integers(0, 2000, (rows, kq))
     tracemalloc.start()
     try:
-        dist = idx._exact_distances(queries, locations)
+        dist = knn.exact_distances(points, queries, locations)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    diff = idx.points[locations] - queries[:, None, :]
+    diff = points[locations] - queries[:, None, :]
     assert np.array_equal(dist, np.sqrt(np.einsum("ijk,ijk->ij", diff, diff)))
-    assert peak < 1.5 * diff.nbytes, f"peak {peak / diff.nbytes:.2f} difference arrays"
+    extra = peak - dist.nbytes
+    assert extra < 1.5 * 8 * knn._DIFF_ELEMENTS, f"{extra / 2**20:.2f} MiB beside the output"
 
 
 @pytest.mark.parametrize("kind", ["continuous", "duplicated", "quantized"])
