@@ -1,16 +1,18 @@
 """External clustering validity measures.
 
 ARI and NMI come straight from the contingency table; F1 and accuracy
-first match clusters to classes with an optimal assignment.  F1 is macro
-(unweighted mean over true classes), held fixed everywhere so relative
-orderings stay meaningful.  Entropies use natural logs; NMI is
-base-invariant so the choice is cosmetic.
+first match clusters to classes with the lexicographically smallest
+optimal assignment, from one shortest-augmenting-path solve and a search
+over the edges its duals make tight.  The matching always pairs
+min(classes, clusters) of them.  F1 is macro (unweighted mean over true
+classes), held fixed everywhere so relative orderings stay meaningful.
+Entropies use natural logs; NMI is base-invariant so the choice is
+cosmetic.
 """
 
 from __future__ import annotations
 
 import numpy as np
-from scipy.optimize import linear_sum_assignment
 
 
 def _as_labels(x, name):
@@ -80,12 +82,19 @@ def _nmi(counts):
 
 
 def kuhn_munkres(cost):
-    """Minimum-cost injective assignment of min(r, c) rows to columns.
+    """Minimum-cost injective assignment of min(r, c) rows to columns, as a
+    {row: column} dict.
 
     Deterministic among ties: returns the lexicographically smallest
     optimal assignment (rows in order; an unassigned row sorts after any
-    column choice).  Raises ValueError when the optimal total is past the
-    float range.
+    column choice).  One shortest-augmenting-path solve finds an optimal
+    assignment and duals; the optimal assignments are then exactly the
+    matchings of the tight edges (zero reduced cost) that leave unmatched
+    only vertices of zero dual, and a row-by-row search of alternating
+    cycles over those edges picks the smallest.  The result always holds
+    min(r, c) pairs.  It is optimal and lexicographically smallest whenever
+    the cost sums are exact in float64, such as F1's negated counts.
+    Raises ValueError when the optimal total is past the float range.
     """
     cost = np.asarray(cost, dtype=np.float64)
     if cost.ndim != 2 or cost.size == 0:
@@ -93,30 +102,136 @@ def kuhn_munkres(cost):
     if not np.all(np.isfinite(cost)):
         raise ValueError("cost entries must be finite")
     r, c = cost.shape
-    free_rows = np.ones(r, dtype=bool)
-    free_cols = np.ones(c, dtype=bool)
-    fixed_total = 0.0
-    assign = {}
-    # a trial's total may overflow to inf; it then just fails the test
+    flip = r > c
+    # Solve on costs scaled by a power of two, which is exact, to at most
+    # 2**1023 / (2(r + c)) in size: every path length and dual stays within
+    # five times the largest cost, and the total within min(r, c) times it,
+    # so nothing overflows.
+    shift = max(0, int(np.frexp(np.abs(cost).max())[1]) + (2 * (r + c)).bit_length() - 1023)
+    short = np.ldexp(cost.T if flip else cost, -shift)
+    pairs = np.arange(short.shape[0])
+    partner, v = _shortest_augmenting_paths(short)
     with np.errstate(over="ignore"):
-        optimum = cost[linear_sum_assignment(cost)].sum()
-        if not np.isfinite(optimum):
+        if not np.isfinite(np.ldexp(short[pairs, partner].sum(), shift)):
             raise ValueError("the optimal total is past the float range")
-        tol = 1e-9 * max(1.0, abs(optimum))
-        for row in range(r):
-            if not free_cols.any():
+    # u_i taken from its matched pair's own rounded difference, so matched
+    # pairs have reduced cost exactly 0
+    reduced = short - v
+    reduced -= reduced[pairs, partner][:, None]
+    # mate[i] is row i's column, c if unassigned; holder[j] is column j's
+    # row, r if unmatched.  The extra row r and column c of `tight` stand
+    # for the |r - c| padding dummies: a dummy is tight exactly to the
+    # long-side vertices with dual 0, the ones an optimum may leave out.
+    rows, cols = (partner, pairs) if flip else (pairs, partner)
+    mate = np.full(r, c)
+    mate[rows] = cols
+    holder = np.full(c, r)
+    holder[cols] = rows
+    tight = np.zeros((r + 1, c + 1), dtype=bool)
+    tight[:r, :c] = (reduced.T if flip else reduced) <= 0
+    if flip:
+        tight[:r, c] = v == 0
+    elif r < c:
+        tight[r, :c] = v == 0
+    fixed = np.zeros(r + 1, dtype=bool)
+    for x in range(r):
+        m = mate[x]
+        better = np.flatnonzero(tight[x, :m] & ~fixed[holder[:m]])
+        if better.size:
+            _take_smallest(x, better, tight, mate, holder, fixed)
+        fixed[x] = True
+    assigned = np.flatnonzero(mate < c)
+    return dict(zip(assigned.tolist(), mate[assigned].tolist()))
+
+
+def _shortest_augmenting_paths(cost):
+    """Crouse's rectangular shortest augmenting path method (D. F. Crouse,
+    "On implementing 2D rectangular assignment algorithms", IEEE TAES
+    52(4), 2016), for rows <= columns.  Returns each row's column and the
+    column duals v: with the row duals u, u_i + v_j <= cost_ij, with
+    equality on matched pairs, v <= 0, and v == 0 on unmatched columns."""
+    nr, nc = cost.shape
+    u = np.zeros(nr)
+    v = np.zeros(nc)
+    col_of = np.full(nr, -1)
+    row_of = np.full(nc, -1)
+    for cur in range(nr):
+        dist = np.full(nc, np.inf)
+        via = np.zeros(nc, dtype=np.intp)
+        unscanned = np.ones(nc, dtype=bool)
+        rows = [cur]
+        low, i = 0.0, cur
+        while True:
+            reach = low + cost[i] - u[i] - v
+            shorter = unscanned & (reach < dist)
+            dist[shorter] = reach[shorter]
+            via[shorter] = i
+            low = dist[unscanned].min()
+            ties = unscanned & (dist == low)
+            free = ties & (row_of < 0)
+            j = int(np.argmax(free if free.any() else ties))
+            unscanned[j] = False
+            if row_of[j] < 0:
                 break
-            free_rows[row] = False
-            for col in np.flatnonzero(free_cols):
-                free_cols[col] = False
-                sub = cost[np.ix_(free_rows, free_cols)]
-                total = fixed_total + cost[row, col] + sub[linear_sum_assignment(sub)].sum()
-                if abs(total - optimum) <= tol:
-                    assign[row] = int(col)
-                    fixed_total += cost[row, col]
-                    break
-                free_cols[col] = True
-    return assign
+            i = row_of[j]
+            rows.append(i)
+        u[cur] += low
+        rest = np.array(rows[1:], dtype=np.intp)
+        u[rest] += low - dist[col_of[rest]]
+        scanned = ~unscanned
+        v[scanned] -= low - dist[scanned]
+        while True:  # augment along the path back to cur
+            i = via[j]
+            row_of[j] = i
+            col_of[i], j = j, col_of[i]
+            if i == cur:
+                break
+    return col_of, v
+
+
+def _take_smallest(x, better, tight, mate, holder, fixed):
+    """Give row x the smallest column in `better` (all below its own) that
+    an alternating cycle through unfixed rows can free, if one can.
+
+    A breadth-first search grows the set of freeable columns from x's own:
+    a column is freeable when its holder is tight to a freeable one, and
+    every column the padding row r leaves unmatched is freeable once that
+    row is; the padding column c is freeable once an unassigned row is."""
+    r, c = len(mate), len(holder)
+    m = mate[x]
+    freed = np.zeros(c + 1, dtype=bool)
+    freed[m] = True
+    moves_to = np.zeros(r + 1, dtype=np.intp)
+    reached = fixed.copy()
+    reached[x] = True
+    unassigned_row = x  # the row that frees column c, read once freed[c]
+    new = np.array([m])
+    while new.size and not freed[better[0]]:
+        hit = tight[:, new]
+        rows = np.flatnonzero(hit.any(axis=1) & ~reached)
+        reached[rows] = True
+        moves_to[rows] = new[hit[rows].argmax(axis=1)]
+        real = rows[rows < r]
+        cols = mate[real]
+        if not freed[c] and (cols == c).any():
+            unassigned_row = real[np.argmax(cols == c)]
+        if rows.size and rows[-1] == r:
+            cols = np.concatenate([cols, np.flatnonzero(holder == r)])
+        new = np.unique(cols[~freed[cols]])
+        freed[new] = True
+    found = better[freed[better]]
+    if not found.size:
+        return
+    row, col = x, found[0]
+    while True:  # each row takes the column it was reached through
+        leaving = unassigned_row if col == c else holder[col]
+        if row < r:
+            mate[row] = col
+        if col < c:
+            holder[col] = row
+        if col == m:
+            break
+        row, col = leaving, moves_to[leaving]
 
 
 def matched_f1_accuracy(true_labels, pred_labels):

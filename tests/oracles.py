@@ -1,6 +1,7 @@
 """Brute-force oracles and hostile inputs shared by the test modules."""
 
 import numpy as np
+from scipy.optimize import linear_sum_assignment
 
 from bdmbc.knn import SpatialIndex
 
@@ -32,6 +33,42 @@ def contingency_by_add_at(true_labels, pred_labels):
     counts = np.zeros((ti.max() + 1, pi.max() + 1), dtype=np.int64)
     np.add.at(counts, (ti, pi), 1)
     return counts
+
+
+def kuhn_munkres_by_trials(cost):
+    """kuhn_munkres by trial solves: fix each row in turn to the first free
+    column (or to none) whose trial keeps the optimal total, re-solving the
+    free rows and columns for every trial.  Up to r*c solves."""
+    cost = np.asarray(cost, dtype=np.float64)
+    if cost.ndim != 2 or cost.size == 0:
+        raise ValueError("cost must be a non-empty 2-D matrix")
+    if not np.all(np.isfinite(cost)):
+        raise ValueError("cost entries must be finite")
+    r, c = cost.shape
+    free_rows = np.ones(r, dtype=bool)
+    free_cols = np.ones(c, dtype=bool)
+    fixed_total = 0.0
+    assign = {}
+    # a trial's total may overflow to inf; it then just fails the test
+    with np.errstate(over="ignore"):
+        optimum = cost[linear_sum_assignment(cost)].sum()
+        if not np.isfinite(optimum):
+            raise ValueError("the optimal total is past the float range")
+        tol = 1e-9 * max(1.0, abs(optimum))
+        for row in range(r):
+            if not free_cols.any():
+                break
+            free_rows[row] = False
+            for col in np.flatnonzero(free_cols):
+                free_cols[col] = False
+                sub = cost[np.ix_(free_rows, free_cols)]
+                total = fixed_total + cost[row, col] + sub[linear_sum_assignment(sub)].sum()
+                if abs(total - optimum) <= tol:
+                    assign[row] = int(col)
+                    fixed_total += cost[row, col]
+                    break
+                free_cols[col] = True
+    return assign
 
 
 def finalize_by_tree(points, provisional, core_mask, min_cluster_size):

@@ -1,15 +1,20 @@
 """Validity measures against definitional brute-force oracles.
 
 Oracles: pair enumeration for ARI, direct entropy sums for NMI, and
-permutation search for the assignment problem.
+permutation search and trial solves for the assignment problem.
 """
 
 import itertools
 import math
+import os
+import subprocess
+import sys
+import time
 
 import numpy as np
 import pytest
 
+import bdmbc
 from bdmbc.metrics import (
     ari,
     contingency,
@@ -18,7 +23,7 @@ from bdmbc.metrics import (
     metric_report,
     nmi,
 )
-from oracles import contingency_by_add_at
+from oracles import contingency_by_add_at, kuhn_munkres_by_trials
 
 
 def set_partitions(items):
@@ -247,6 +252,63 @@ def test_km_matches_brute_force():
         best_total, best_map = assignment_oracle(cost)
         assert total == pytest.approx(best_total, abs=1e-9), trial
         assert tuple(sorted(got.items())) == best_map, trial
+
+
+def test_km_equals_trial_oracle():
+    """One solve and a tight-edge search give the trial loop's assignment
+    on tie-heavy matrices of both orientations."""
+    rng = np.random.default_rng(31)
+    for trial in range(2000):
+        r, c = (int(x) for x in rng.integers(1, 10, 2))
+        kind = trial % 4
+        if kind == 0:
+            cost = np.round(rng.random((r, c)) * 4) / 4
+        elif kind == 1:
+            cost = -rng.integers(0, 4, (r, c)).astype(np.float64)
+        elif kind == 2:
+            cost = -rng.integers(0, 50, (r, c)).astype(np.float64)
+        else:
+            cost = -(rng.random((r, c)) < 0.2).astype(np.float64)
+        assert kuhn_munkres(cost) == kuhn_munkres_by_trials(cost), (trial, cost)
+
+
+def test_km_near_float_range_keeps_every_row():
+    # float absorption of the -1 entries broke totals-within-tol tests:
+    # row 0 was dropped from the first, the second kept a total of 0
+    cost = np.array([[1e307, 1e308, 5e307, -1],
+                     [5e307, 5e307, 1e307, -1e307],
+                     [-1e307, 1e308, 1e308, -1]])
+    assert kuhn_munkres(cost) == {0: 3, 1: 2, 2: 0}
+    assert kuhn_munkres(np.array([[1e307, 5e307], [0, 1e307], [-1e307, -1]])) == {1: 0, 2: 1}
+    # an optimum of -1.5e308, inside the float range, whose shortest-path
+    # lengths overflow unless the solve scales the costs down
+    cost = np.array([[-1, -1e308, 5e307], [1e308, -5e307, 3e307], [0, -5e307, -1e308]])
+    assert kuhn_munkres(cost) == {0: 0, 1: 1, 2: 2}
+
+
+def test_metric_report_time_bound():
+    """The matching on many clusters stays fast: 150 classes by 150
+    clusters, and 10 classes by 5000 clusters, of 20,000 random labels."""
+    rng = np.random.default_rng(37)
+    n = 20000
+    for true, pred in ((rng.integers(0, 150, n), rng.integers(0, 150, n)),
+                       (rng.integers(0, 10, n), np.arange(n) % 5000)):
+        t0 = time.perf_counter()
+        metric_report(true, pred)
+        elapsed = time.perf_counter() - t0
+        assert elapsed < 0.5, elapsed
+
+
+def test_import_leaves_scipy_optimize_out():
+    """No fit, grid or CLI call needs scipy.optimize, and loading it costs
+    about 9.5 MB of RSS, so importing the package leaves it out."""
+    # runs on the bdmbc this test imported, installed or not
+    pkg_root = os.path.dirname(os.path.dirname(bdmbc.__file__))
+    path = os.pathsep.join(filter(None, [pkg_root, os.environ.get("PYTHONPATH")]))
+    code = "import sys, bdmbc, bdmbc.cli; print('scipy.optimize' in sys.modules)"
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": path})
+    assert proc.stdout.strip() == "False", proc.stderr
 
 
 def test_km_errors():
