@@ -2,9 +2,11 @@
 
 Each bagging round draws its subsample without replacement from an
 independent Philox stream keyed (seed, round), so rounds are reproducible
-and order-independent.  Every path adds its rounds one at a time in round
-order, so the rank table and the tree rounds agree bit for bit, at any
-thread count.
+and order-independent.  The rank table, s == n and the tree rounds read
+neighbor indices alone and recompute each k_d-th distance with
+knn.exact_distances, as the k-NN query computes it.  Every path adds its
+rounds one at a time in round order, so the rank table and the tree rounds
+agree bit for bit, at any thread count.
 """
 
 from __future__ import annotations
@@ -17,8 +19,8 @@ import numpy as np
 from .data import _points, _rng
 from .knn import SpatialIndex, exact_distances, ordered_map
 
-# Up to this size one exact self-excluded k-NN table, as wide as the rank
-# table reaches, serves all bagging rounds; above it, per-round scans
+# Up to this size one exact self-excluded k-NN index table, as wide as the
+# rank table reaches, serves all bagging rounds; above it, per-round scans
 # respect the complexity budget.
 _RANK_TABLE_MAX_N = 2048
 # (point, round) member counters advanced together: few enough to stay
@@ -71,19 +73,19 @@ def _rank_reach(n, plan):
     return min(n - 1, plan.k_d + n - plan.s)
 
 
-def _bagged_rank_table(table, plan):
+def _bagged_rank_table(points, nbr, plan):
     """All rounds from one k-NN table; exact, vectorized over rounds.
 
-    table is the (indices, distances) of the self-excluded k-NN query, at
-    least _rank_reach wide.  In a round, point i's k_d-distance is
-    distances[i, p], where p is the position of the k_d-th subsample member
-    along indices[i] (i itself is absent, so it never counts).  Members are
-    counted position by position for every (point, round) pair at once, up
-    to the reach or until every pair holds k_d members.  Rounds are counted
-    in blocks of _ROUND_BLOCK // n and added in round order.
+    nbr is the index matrix of the self-excluded k-NN query, at least
+    _rank_reach wide.  In a round, point i's k_d-th neighbor is nbr[i, p],
+    where p is the position of the k_d-th subsample member along nbr[i] (i
+    itself is absent, so it never counts).  Members are counted position
+    by position for every (point, round) pair at once, up to the reach or
+    until every pair holds k_d members.  Rounds are counted in blocks of
+    _ROUND_BLOCK // n; each block's k_d-th distances are recomputed by
+    exact_distances, as the query computed them, and added in round order.
     """
-    order, sorted_dist = table
-    n = order.shape[0]
+    n = nbr.shape[0]
     k_d = plan.k_d
     block = max(_ROUND_BLOCK // n, 1)
     total = np.zeros(n)
@@ -97,12 +99,14 @@ def _bagged_rank_table(table, plan):
         count = np.zeros_like(member)
         pos = np.zeros_like(member)
         for j in range(_rank_reach(n, plan)):
-            count += member[order[:, j]]
+            count += member[nbr[:, j]]
             pos += count < k_d
             if j % 16 == 15 and count.min() >= k_d:
                 break  # every counter is done: later positions add nothing
-        for kth in np.take_along_axis(sorted_dist, pos, axis=1).T:
-            total += kth
+        del count, member  # before the k_d-th indices and distances form
+        kth = np.take_along_axis(nbr, pos, axis=1)
+        for column in exact_distances(points, points, kth).T:
+            total += column
     return total / plan.b
 
 
@@ -186,18 +190,16 @@ def _bagged_per_round(points, plan):
 
 
 def _table_width(n, plans):
-    """(width, distances): the columns of the self-excluded k-NN table of
-    n points that bagging reads for these plans, and whether it reads their
-    distances.  The rank table (n <= _RANK_TABLE_MAX_N, s < n) reads indices
-    and distances up to its reach; s == n reads the index column k_d - 1
-    and recomputes its distances (_kth_distance); per-round scans read none.
+    """The columns of the self-excluded k-NN table of n points that bagging
+    reads for these plans: the rank table (n <= _RANK_TABLE_MAX_N, s < n)
+    reads indices up to its reach, s == n reads the index column k_d - 1,
+    and per-round scans read none (0).  Every path reads indices alone and
+    recomputes its k_d-th distances with exact_distances.
 
     The grid's trimodal plan (n=2000, s=1800, k_d=300) reaches 500 of the
     1999 columns, so its shared table is as wide as k_l = 750."""
-    rank = [plan for plan in plans if plan.s < n <= _RANK_TABLE_MAX_N]
-    width = max([_rank_reach(n, plan) for plan in rank]
-                + [plan.k_d for plan in plans if plan.s == n], default=0)
-    return width, bool(rank)
+    return max([_rank_reach(n, plan) for plan in plans if plan.s < n <= _RANK_TABLE_MAX_N]
+               + [plan.k_d for plan in plans if plan.s == n], default=0)
 
 
 def bagged_k_distance(ds, plan, table=None):
@@ -206,26 +208,26 @@ def bagged_k_distance(ds, plan, table=None):
     A point inside a round's subsample is excluded from its own neighbor
     list there.  The degenerate plan (B=1, s=n) equals the plain
     k-distance bit for bit.  Where _table_width is nonzero the rounds read
-    the points' self-excluded k-NN table, (indices, distances) at least that
-    wide (the rank table's reach, k_d + n - s, or k_d at s == n): pass
-    table= to share one with other stages, as the grid and the fit do, or
-    it is queried here.  At s == n only the indices are read, and the
-    distances entry may be None.
+    the index matrix of the points' self-excluded k-NN table, at least that
+    wide (the rank table's reach, k_d + n - s, or k_d at s == n), and
+    recompute each k_d-th distance as the query computes it: pass table= to
+    share one with other stages, as the grid and the fit do, or it is
+    queried here.
     """
     points = _points(ds)
     n = points.shape[0]
     plan.validate(n)
-    width, distances = _table_width(n, [plan])
+    width = _table_width(n, [plan])
     if width == 0:
         return _bagged_per_round(points, plan)
     if table is None:
         idx = SpatialIndex(points)
-        table = idx.query_bulk(idx.points, width, exclude=np.arange(n), distances=distances)
+        table, _ = idx.query_bulk(idx.points, width, exclude=np.arange(n), distances=False)
     if plan.s == n:
         # Every round sees the full data, so the average is the plain
         # k-distance regardless of B.
-        return _kth_distance(points, table[0][:, plan.k_d - 1])
-    return _bagged_rank_table(table, plan)
+        return _kth_distance(points, table[:, plan.k_d - 1])
+    return _bagged_rank_table(points, table, plan)
 
 
 def _weight_block(n, s, ks):

@@ -33,7 +33,7 @@ from scipy.sparse.csgraph import minimum_spanning_tree
 
 from .bagging import BaggingPlan, _table_width, bagged_k_distance, check_integers
 from .data import DataError, _points, check_seed, parse_number
-from .knn import SpatialIndex
+from .knn import _DIFF_ELEMENTS, SpatialIndex
 from .plls import mode_set, plls_from_neighbors
 # empirical_plls stays importable from this module, where the benchmark's
 # tracer wraps the stages; bdmbc_fit slices one neighbor table instead.
@@ -165,13 +165,14 @@ class ClusterResult:
 
 
 def graph_from_neighbors(nbr):
-    """Directed k-NN graph: the (m, 2) int64 edges (i, nbr[i, j]), row by row.
+    """Directed k-NN graph: the (m, 2) edges (i, nbr[i, j]), row by row, of
+    nbr's dtype (int32 from a query of fewer than 2**31 points).
 
     nbr may be the leading k_g columns of a wider exact neighbor table: under
     the (distance, index) rule they are exactly the k_g-lists.
     """
     n, k = nbr.shape
-    src = np.repeat(np.arange(n, dtype=np.int64), k)
+    src = np.repeat(np.arange(n, dtype=nbr.dtype), k)
     return np.column_stack([src, nbr.reshape(-1)])
 
 
@@ -194,7 +195,7 @@ def core_subgraph(edges, scores, lam):
 
 def spanning_forest(edges, scores):
     """A maximum spanning forest of distinct directed edges, each weighted by
-    its lower endpoint score: (m, 2) int64 edges, m < n.
+    its lower endpoint score: (m, 2) edges of the input's dtype, m < n.
 
     At every lambda, the forest's edges whose endpoints both score >= lambda
     join the same components as all such edges (the cycle property: an edge
@@ -209,7 +210,7 @@ def spanning_forest(edges, scores):
     weight = 2.0 - np.minimum(scores[edges[:, 0]], scores[edges[:, 1]])
     forest = minimum_spanning_tree(
         coo_matrix((weight, (edges[:, 0], edges[:, 1])), shape=(n, n))).tocoo()
-    return np.column_stack([forest.row, forest.col]).astype(np.int64)
+    return np.column_stack([forest.row, forest.col]).astype(edges.dtype)
 
 
 def connected_components(masks, edges):
@@ -222,7 +223,10 @@ def connected_components(masks, edges):
     give the same labels.  Every row's components come from one scipy call
     on a layered graph, where node j * n + i is point i at row j; component
     IDs are assigned, row by row, in order of each component's smallest
-    member index.  Returns (rows, n) labels, or (n,) for a 1-D mask.
+    member index.  Edges may be int32 or int64: the layered node ids take
+    the intp type of np.nonzero's rows, int64 on 64-bit platforms, where
+    rows * n may pass 2**31.  Returns (rows, n) int64 labels, or (n,) for a
+    1-D mask.
     """
     masks = np.asarray(masks, dtype=bool)
     stack = np.atleast_2d(masks)
@@ -245,18 +249,15 @@ def connected_components(masks, edges):
     return labels if masks.ndim == 2 else labels[0]
 
 
-# Rows of the neighbor table that first_scoring scans at a time: gathering
-# every row at once adds to the fit's peak memory.
-_FINALIZE_ROWS = 1024
-
-
 def first_scoring(scores, nbr, lams):
     """(n, len(lams)) int64: for each row of the neighbor table nbr and each
-    lambda, the first neighbor along the row that scores >= lambda, or -1."""
-    n = nbr.shape[0]
+    lambda, the first neighbor along the row that scores >= lambda, or -1.
+    The rows' scores are gathered in slices of at most knn._DIFF_ELEMENTS."""
+    n, k = nbr.shape
     first = np.full((n, len(lams)), -1, dtype=np.int64)
-    for lo in range(0, n, _FINALIZE_ROWS):
-        rows = nbr[lo : lo + _FINALIZE_ROWS]
+    step = max(_DIFF_ELEMENTS // k, 1)
+    for lo in range(0, n, step):
+        rows = nbr[lo : lo + step]
         row_scores = scores[rows]
         at = np.arange(len(rows))
         for j, lam in enumerate(lams):
@@ -329,9 +330,9 @@ def _fits(points, configs, timings):
 
     One index and one exact self-query serve every stage.  The query is as
     wide as the largest k_l or k_g, or as the columns the bagging rounds
-    read (bagging._table_width), and every plan's rounds read it.  Its
-    indices are int32, and it holds distances only when some plan's rank
-    table reads them: the other stages read indices alone.  Configs
+    read (bagging._table_width), and every plan's rounds read it.  It
+    holds int32 indices and no distances: every stage reads indices alone,
+    and bagging recomputes the k_d-th distances it needs.  Configs
     with equal plans share one bagging pass; with equal (plan, k_l), one
     score vector, one first_scoring table over their lambdas and, per k_g,
     one connected_components call that labels every lambda.  With several
@@ -356,16 +357,16 @@ def _fits(points, configs, timings):
     t0 = time.perf_counter()
     idx = SpatialIndex(points)
     t1 = time.perf_counter()
-    read, distances = _table_width(n, groups)
-    table = idx.query_bulk(idx.points, max(width, read), exclude=np.arange(n),
-                           distances=distances)
+    read = _table_width(n, groups)
+    table, _ = idx.query_bulk(idx.points, max(width, read), exclude=np.arange(n),
+                              distances=False)
     t2 = time.perf_counter()
     bagged = {plan: bagged_k_distance(points, plan, table=table) for plan in groups}
     t3 = time.perf_counter()
     timings.update(index=t1 - t0, bagged_kdist=t3 - (t1 if read else t2),
                    plls=0.0 if read else t2 - t1, graph=0.0, components=0.0, finalize=0.0)
-    nbr = table[0][:, :width]
-    del idx, table  # later stages read only nbr: free the tree and any distances
+    nbr = table[:, :width]
+    del idx, table  # later stages read only nbr: free the tree
     for plan, by_kl in groups.items():
         for kl, cells in by_kl.items():
             t0 = time.perf_counter()

@@ -12,8 +12,7 @@ from __future__ import annotations
 import numpy as np
 
 from .data import _points
-
-_CHUNK = 8192
+from .knn import _DIFF_ELEMENTS
 
 
 def empirical_plls(ds, idx, bagged, k_l):
@@ -33,12 +32,15 @@ def plls_from_neighbors(bagged, nbr):
     """Scores from each point's neighbor rows, nearest first, self excluded.
 
     nbr may be the leading k_l columns of a wider exact neighbor table: under
-    the (distance, index) rule they are exactly the k_l-lists.
+    the (distance, index) rule they are exactly the k_l-lists.  The rows'
+    distances are gathered in slices of at most knn._DIFF_ELEMENTS, so
+    memory does not grow with n * k_l.
     """
     n, k_l = nbr.shape
     counts = np.empty(n, dtype=np.int64)
-    for lo in range(0, n, _CHUNK):
-        hi = min(lo + _CHUNK, n)
+    step = max(_DIFF_ELEMENTS // k_l, 1)
+    for lo in range(0, n, step):
+        hi = min(lo + step, n)
         counts[lo:hi] = (bagged[nbr[lo:hi]] >= bagged[lo:hi, None]).sum(axis=1)
     return counts / k_l
 

@@ -202,15 +202,18 @@ def test_rank_table_and_per_round_paths_agree():
     rng = _rng(9, 13)
     pts = rng.random((120, 2))
     plan = BaggingPlan(b=20, s=40, k_d=5, seed=2)
-    via_table = bagging._bagged_rank_table(knn_table(pts), plan)
+    via_table = bagging._bagged_rank_table(pts, knn_table(pts), plan)
     via_rounds = bagging._bagged_per_round(pts, plan)
     assert np.allclose(via_table, via_rounds, rtol=1e-9, atol=1e-12)
 
 
 def knn_table(points):
-    """The self-excluded (n - 1)-NN table that the rank-table rounds read."""
+    """The self-excluded (n - 1)-NN index matrix that the rank-table rounds
+    read."""
     n = len(points)
-    return SpatialIndex(points).query_bulk(points, n - 1, exclude=np.arange(n))
+    nbr, _ = SpatialIndex(points).query_bulk(points, n - 1, exclude=np.arange(n),
+                                             distances=False)
+    return nbr
 
 
 def partition_rank_table(points, plan):
@@ -257,7 +260,7 @@ def test_windowed_rounds_equal_partition_oracle():
     # a small subsample puts the k_d-th member deep in the rows
     plans.append((rng.random((600, 2)), BaggingPlan(b=30, s=30, k_d=1, seed=3)))
     for pts, plan in plans:
-        got = bagging._bagged_rank_table(knn_table(pts), plan)
+        got = bagging._bagged_rank_table(pts, knn_table(pts), plan)
         assert np.array_equal(got, partition_rank_table(pts, plan)), plan
     assert plans[-3][1].b > 2 * (bagging._ROUND_BLOCK // 150)
 
@@ -274,7 +277,7 @@ def test_windowed_rounds_memory_bounded():
     plan = BaggingPlan(b=200, s=20, k_d=5, seed=0)
     tracemalloc.start()
     try:
-        bagging._bagged_rank_table(table, plan)
+        bagging._bagged_rank_table(pts, table, plan)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -317,7 +320,7 @@ def test_rank_table_fuzz_equals_tree_rounds(monkeypatch):
     signed_zeros = 0
     for case, (pts, plan, block) in enumerate(plans):
         monkeypatch.setattr(bagging, "_ROUND_BLOCK", block)
-        got = bagging._bagged_rank_table(knn_table(pts), plan)
+        got = bagging._bagged_rank_table(pts, knn_table(pts), plan)
         want = tree_rounds(pts, plan)
         assert np.array_equal(got.view(np.uint64), want.view(np.uint64)), (case, plan)
         zero = pts == 0
@@ -344,10 +347,9 @@ def test_rank_table_reads_only_its_reach(monkeypatch):
         monkeypatch.setattr(bagging, "_ROUND_BLOCK", 3 * n if case % 4 < 2 else 1 << 18)
         reach = bagging._rank_reach(n, plan)
         assert reach == min(n - 1, k_d + n - s)
-        order, dist = knn_table(pts)
-        cut = np.ascontiguousarray(order[:, :reach]), np.ascontiguousarray(dist[:, :reach])
-        got = bagging._bagged_rank_table(cut, plan)
-        want = bagging._bagged_rank_table((order, dist), plan)
+        order = knn_table(pts)
+        got = bagging._bagged_rank_table(pts, np.ascontiguousarray(order[:, :reach]), plan)
+        want = bagging._bagged_rank_table(pts, order, plan)
         assert np.array_equal(got.view(np.uint64), want.view(np.uint64)), (case, plan)
 
 

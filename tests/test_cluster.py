@@ -170,9 +170,13 @@ def test_spanning_forest_keeps_every_lambdas_components():
         k_g = int(rng.integers(1, min(n - 1, 12) + 1))
         nbr, _ = SpatialIndex(pts).query_bulk(pts, k_g, exclude=np.arange(n))
         edges = graph_from_neighbors(nbr)
+        assert edges.dtype == nbr.dtype == np.int32, case
         k_l = int(rng.integers(1, 20))
         scores = rng.integers(0, k_l + 1, n) / k_l
         forest = spanning_forest(edges, scores)
+        assert forest.dtype == np.int32, case
+        # int64 edges span the same forest
+        assert np.array_equal(spanning_forest(edges.astype(np.int64), scores), forest), case
         components = connected_components(np.ones(n, dtype=bool), edges).max() + 1
         assert forest.shape == (n - components, 2), case
         levels = np.unique(scores)
@@ -182,12 +186,30 @@ def test_spanning_forest_keeps_every_lambdas_components():
             assert np.array_equal(got, want), (case, lam)
 
 
-def test_stacked_components_equal_each_lambdas_own():
+def test_stacked_components_equal_each_lambdas_own(monkeypatch):
     # random k-NN graphs and their forests, scores tied at multiples of
     # 1/k_l: one call on a stack of lambda masks over the uncut edge list
     # gives, row by row, the one-lambda labels of the cut core subgraph
     # and the BFS oracle's; lambdas at 0, on a level, between levels and
-    # above the top score (no core point), and stacks of one row
+    # above the top score (no core point), and stacks of one row.  int32
+    # and int64 edges give equal labels, and the layered graph's node ids
+    # are int64 either way, since rows * n may pass 2**31
+    from bdmbc import cluster
+
+    built, node_ids = [], []
+    coo_matrix, components = cluster.coo_matrix, cluster._cc
+
+    def record_coo(arg, shape):
+        built.append(arg[1])
+        return coo_matrix(arg, shape=shape)
+
+    def record_components(graph, **kwargs):
+        # the layered graph is the last matrix built before the call
+        node_ids.extend(ids.dtype for ids in built[-1])
+        return components(graph, **kwargs)
+
+    monkeypatch.setattr(cluster, "coo_matrix", record_coo)
+    monkeypatch.setattr(cluster, "_cc", record_components)
     rng = _rng(8, 38)
     for case in range(60):
         n = int(rng.integers(2, 150))
@@ -208,11 +230,14 @@ def test_stacked_components_equal_each_lambdas_own():
         for graph in (edges, spanning_forest(edges, scores)):
             got = connected_components(masks, graph)
             assert got.shape == (len(lams), n) and got.dtype == np.int64, case
+            assert graph.dtype == np.int32, case
+            assert np.array_equal(connected_components(masks, graph.astype(np.int64)), got), case
             for j, lam in enumerate(lams):
                 want = connected_components(*core_subgraph(graph, scores, lam))
                 assert np.array_equal(got[j], want), (case, lam)
                 assert np.array_equal(got[j], bfs_components(n, graph, masks[j])), (case, lam)
             assert np.all(got[lams > levels[-1]] == -1), case
+    assert node_ids and all(dtype == np.int64 for dtype in node_ids)
 
 
 # ---------------------------------------------------------------- finalize
@@ -490,8 +515,9 @@ def test_fit_result_contract():
 def test_fit_builds_an_index_only_when_it_queries_one(monkeypatch):
     # whichever way bagging runs (rank table at n <= 2048 with s < n, plain
     # k-distance at s == n, brute-force or tree rounds above 2048 points),
-    # a fit indexes its n points once, queries them once and times that as
-    # "index"; tree rounds index only their subsamples
+    # a fit indexes its n points once, queries them once, without
+    # distances, and times that as "index"; tree rounds index only their
+    # subsamples
     built, queried = [], []
     init, query_bulk = SpatialIndex.__init__, SpatialIndex.query_bulk
 
@@ -500,7 +526,7 @@ def test_fit_builds_an_index_only_when_it_queries_one(monkeypatch):
         built.append(self.n)
 
     def record_query(self, queries, k, exclude=None, distances=True):
-        queried.append((self.n, len(queries)))
+        queried.append((self.n, len(queries), distances))
         return query_bulk(self, queries, k, exclude=exclude, distances=distances)
 
     monkeypatch.setattr(SpatialIndex, "__init__", record_init)
@@ -518,7 +544,7 @@ def test_fit_builds_an_index_only_when_it_queries_one(monkeypatch):
         queried.clear()
         res = bdmbc_fit(ds, cfg)
         assert built.count(ds.n) == 1, built
-        assert [q for q in queried if q[0] == ds.n] == [(ds.n, ds.n)], queried
+        assert [q for q in queried if q[0] == ds.n] == [(ds.n, ds.n, False)], queried
         assert "index" in res.timings
 
 

@@ -4,12 +4,13 @@ import csv
 import json
 import math
 import os
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from bdmbc.cli import main
-from bdmbc.data import Dataset, gen_multiblobs
+from bdmbc.data import Dataset, GaussianMixture, gen_mixture, gen_multiblobs
 from bdmbc.grid import GRID_COLUMNS, METRICS, grid_search
 from bdmbc.knn import worker_count
 from bdmbc.metrics import metric_report
@@ -317,7 +318,8 @@ def test_grid_table_from_pairwise_order_equals_query(monkeypatch):
     # the rank table reaches, k_d + n - s = 9 + 300 - 120 = 189 columns at
     # rho=0.4, kd=9; a table sliced from the brute-force pairwise order
     # gives the same rows.  A 0.25 grid makes ties, and rho=1 adds cells at
-    # s == n, whose k-distances are then columns of the one query
+    # s == n, whose k-distances are then recomputed from columns of the one
+    # query; that query writes no distances
     from bdmbc.knn import SpatialIndex
     from oracles import pairwise_order
 
@@ -334,14 +336,14 @@ def test_grid_table_from_pairwise_order_equals_query(monkeypatch):
 
     def record_query(self, queries, k, exclude=None, distances=True):
         if self.n == ds.n:
-            full_queries.append((len(queries), k))
+            full_queries.append((len(queries), k, distances))
         return query_bulk(self, queries, k, exclude=exclude, distances=distances)
 
     monkeypatch.setattr(SpatialIndex, "__init__", record_init)
     monkeypatch.setattr(SpatialIndex, "query_bulk", record_query)
     queried = grid_search(ds, grid, seed=1)
     assert built.count(ds.n) == 1, built
-    assert full_queries == [(ds.n, 189)]
+    assert full_queries == [(ds.n, 189, False)]
 
     order, sorted_dist = pairwise_order(ds.points)
 
@@ -354,6 +356,27 @@ def test_grid_table_from_pairwise_order_equals_query(monkeypatch):
     sliced = grid_search(ds, grid, seed=1)
     assert len(sliced) == 16
     assert sliced == queried
+
+
+def test_grid_peak_memory():
+    # acceptance 01's grid: its shared table holds int32 indices and no
+    # distances, and PLLS and first_scoring gather its rows in slices of
+    # at most 2**17 elements; with a 2000 x 750 float64 distance table and
+    # whole-table gathers it peaked at 20.6 MiB at one thread and 26.8 MiB
+    # at three
+    mix = GaussianMixture(means=[[0.20], [0.32], [0.65]], covs=[0.001, 0.002, 0.007],
+                          weights=[1 / 3, 1 / 3, 1 / 3])
+    ds = gen_mixture(mix, 2000, seed=0)
+    grid = {"b": [25], "rho": [0.9], "kd": [300], "kl": [750], "kg": list(range(5, 21)),
+            "lambda": [round(0.1 + 0.05 * i, 2) for i in range(17)]}
+    tracemalloc.start()
+    try:
+        rows = grid_search(ds, grid, seed=0)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(rows) == 16 * 17
+    assert peak < 18 * 2**20, f"peak {peak / 2**20:.1f} MiB"
 
 
 def test_worker_count(monkeypatch):
