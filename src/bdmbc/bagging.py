@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .data import _points, _rng
-from .knn import SpatialIndex, exact_distances, ordered_map
+from .knn import _DIFF_ELEMENTS, SpatialIndex, exact_distances, ordered_map
 
 # Up to this size one exact self-excluded k-NN index table, as wide as the
 # rank table reaches, serves all bagging rounds; above it, per-round scans
@@ -285,17 +285,25 @@ def infinite_bagged_k_distance(ds, s, k):
 
     Each point's value is the weight-averaged distance to its rank-i
     neighbors among the other n-1 points, with weights over population
-    n-1 and sample size min(s, n-1) (self excluded).  O(n^2); intended
-    for moderate n and as the Monte-Carlo oracle.
+    n-1 and sample size min(s, n-1) (self excluded).  O(n^2) time, for
+    moderate n and as the Monte-Carlo oracle; the rows' distances are
+    formed, sorted and weighted in blocks of at most knn._DIFF_ELEMENTS,
+    so memory stays O(n).
     """
     points = _points(ds)
     n = points.shape[0]
     s_eff = min(s, n - 1)
     if not 1 <= k <= s_eff:
         raise ValueError(f"need 1 <= k <= min(s, n-1), got k={k}, s={s}, n={n}")
-    idx = SpatialIndex(points)
-    _, dist = idx.query_bulk(idx.points, n - 1, exclude=np.arange(n))
-    return dist @ bagging_weights(n - 1, s_eff, k)
+    weights = bagging_weights(n - 1, s_eff, k)
+    out = np.empty(n)
+    step = max(_DIFF_ELEMENTS // n, 1)
+    for lo in range(0, n, step):
+        dist = exact_distances(points, points[lo : lo + step])
+        dist[np.arange(len(dist)), np.arange(lo, lo + len(dist))] = np.inf  # self sorts last
+        dist.sort(axis=1)
+        out[lo : lo + step] = dist[:, :-1] @ weights
+    return out
 
 
 def unit_ball_volume(d):

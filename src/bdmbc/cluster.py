@@ -6,9 +6,9 @@ union-symmetrized graph), dissolution of undersized components, then each
 remaining point joins its nearest surviving core point (nearest_core).
 One generator, _fits, runs it for a fit's one config and for a grid's
 many, building each stage's input once for every config that shares it.
-connected_components labels a stack of lambda masks over one edge list in
-one call, so a score vector's lambdas get their components from one call
-per graph.  A point's nearest core point is the first point along its row
+connected_components labels a score vector's stack of lambda masks in one
+call per graph, the neighbor table's CSR view or its spanning forest.  A
+point's nearest core point is the first point along its row
 of the shared neighbor table that scores >= lambda (first_scoring, built
 once per score vector for every lambda), if it survived dissolution; else
 the answer of a 1-NN query against the surviving core points.  It depends
@@ -27,7 +27,7 @@ import time
 from dataclasses import MISSING, dataclass, field, fields, replace
 
 import numpy as np
-from scipy.sparse import coo_matrix
+from scipy.sparse import csr_matrix, identity, kron
 from scipy.sparse.csgraph import connected_components as _cc
 from scipy.sparse.csgraph import minimum_spanning_tree
 
@@ -165,26 +165,28 @@ class ClusterResult:
 
 
 def graph_from_neighbors(nbr):
-    """Directed k-NN graph: the (m, 2) edges (i, nbr[i, j]), row by row, of
-    nbr's dtype (int32 from a query of fewer than 2**31 points).
+    """Directed k-NN graph: the table's (n, n) CSR view, whose row i has an
+    edge to each nbr[i, j]; its column indices are the table's own (int32
+    from a query of fewer than 2**31 points), its entries one-byte bools.
 
     nbr may be the leading k_g columns of a wider exact neighbor table: under
     the (distance, index) rule they are exactly the k_g-lists.
     """
     n, k = nbr.shape
-    src = np.repeat(np.arange(n, dtype=nbr.dtype), k)
-    return np.column_stack([src, nbr.reshape(-1)])
+    return csr_matrix((np.ones(n * k, dtype=bool), nbr.reshape(-1),
+                       np.arange(0, n * k + 1, k)), shape=(n, n))
 
 
 def build_kg_graph(idx, k_g):
     """Union-symmetrized k_g-NN graph under the (distance, index) tie rule:
     edges (i, j) with i < j, lexicographically sorted and unique.  It has
-    the weak components of graph_from_neighbors' directed edges."""
+    the weak components of graph_from_neighbors' directed graph."""
     n = idx.n
     if not 1 <= k_g <= n - 1:
         raise ValueError(f"k_g={k_g} out of range [1, {n - 1}]")
     nbr, _ = idx.query_bulk(idx.points, k_g, exclude=np.arange(n), distances=False)
-    return np.unique(np.sort(graph_from_neighbors(nbr), axis=1), axis=0)
+    edges = np.column_stack([np.repeat(np.arange(n), k_g), nbr.reshape(-1)])
+    return np.unique(np.sort(edges, axis=1), axis=0)
 
 
 def core_subgraph(edges, scores, lam):
@@ -193,54 +195,50 @@ def core_subgraph(edges, scores, lam):
     return mask, edges[mask[edges[:, 0]] & mask[edges[:, 1]]]
 
 
-def spanning_forest(edges, scores):
-    """A maximum spanning forest of distinct directed edges, each weighted by
-    its lower endpoint score: (m, 2) edges of the input's dtype, m < n.
+def spanning_forest(graph, scores):
+    """A maximum spanning forest of an (n, n) CSR graph, each edge weighted
+    by its lower endpoint score: minimum_spanning_tree's CSR output, m < n.
 
     At every lambda, the forest's edges whose endpoints both score >= lambda
     join the same components as all such edges (the cycle property: an edge
     left out closes a cycle of forest edges scoring no lower).  So one forest
-    per score vector and graph serves core_subgraph at every lambda.
+    per score vector and graph serves connected_components at every lambda.
     """
     scores = np.asarray(scores)
-    n = len(scores)
     # scipy's minimum forest on 2 - lower score: the weights lie in [1, 2],
     # so none is the zero that scipy drops, and PLLS scores, multiples of
     # 1 / k_l, keep distinct weights
-    weight = 2.0 - np.minimum(scores[edges[:, 0]], scores[edges[:, 1]])
-    forest = minimum_spanning_tree(
-        coo_matrix((weight, (edges[:, 0], edges[:, 1])), shape=(n, n))).tocoo()
-    return np.column_stack([forest.row, forest.col]).astype(edges.dtype)
+    weight = 2.0 - np.minimum(np.repeat(scores, np.diff(graph.indptr)), scores[graph.indices])
+    return minimum_spanning_tree(csr_matrix((weight, graph.indices, graph.indptr),
+                                            shape=graph.shape))
 
 
-def connected_components(masks, edges):
+def connected_components(masks, graph):
     """Provisional labels at each lambda: for each row of masks (the points
-    scoring >= that lambda), the components of the edges joining two of
-    its points, numbered from 0 on its points and -1 elsewhere.
+    scoring >= that lambda), the components of the (n, n) sparse graph's
+    edges between its points, numbered from 0 on its points and -1 elsewhere.
 
     Edges are read as directed and components as weakly connected, so a
-    directed k-NN edge list, its symmetrized form and its spanning_forest
-    give the same labels.  Every row's components come from one scipy call
-    on a layered graph, where node j * n + i is point i at row j; component
-    IDs are assigned, row by row, in order of each component's smallest
-    member index.  Edges may be int32 or int64: the layered node ids take
-    the intp type of np.nonzero's rows, int64 on 64-bit platforms, where
-    rows * n may pass 2**31.  Returns (rows, n) int64 labels, or (n,) for a
-    1-D mask.
+    directed k-NN graph, its symmetrized form and its spanning_forest give
+    the same labels.  One scipy call labels every row, on the subgraph that
+    the stacked core points induce in the block-diagonal kron(identity(rows),
+    graph), where node j * n + i is point i at row j.  Component IDs go, row
+    by row, in order of each component's smallest member index.  Returns
+    (rows, n) int64 labels, or (n,) for a 1-D mask.
     """
+    graph = graph.tocsr()  # an (m, 2) edge array has no tocsr: it is not a graph
     masks = np.asarray(masks, dtype=bool)
     stack = np.atleast_2d(masks)
     rows, n = stack.shape
     labels = np.full(stack.shape, -1, dtype=np.int64)
     core = np.flatnonzero(stack)  # by row, then by ascending index
     if core.size:
-        row, at = np.nonzero(stack[:, edges[:, 0]] & stack[:, edges[:, 1]])
-        layered = coo_matrix((np.ones(len(at)), (edges[at, 0] + row * n, edges[at, 1] + row * n)),
-                             shape=(rows * n, rows * n))
-        _, comp = _cc(layered, directed=True, connection="weak")
+        if rows > 1:
+            graph = kron(identity(rows), graph, format="csr")
+        _, comp = _cc(graph[core][:, core], directed=True, connection="weak")
         # a component's first occurrence in core is its smallest member;
         # rank components in that order, then count from 0 within each row
-        _, first, comp = np.unique(comp[core], return_index=True, return_inverse=True)
+        _, first, comp = np.unique(comp, return_index=True, return_inverse=True)
         order = np.argsort(first)
         row_of = core[first[order]] // n  # ascending
         new_id = np.empty_like(order)
@@ -328,6 +326,11 @@ def _fits(points, configs, timings):
     each config, valid on these n >= 2 points, one lambda's configs at a
     time: bdmbc_fit runs one config, grid_search a grid's.
 
+    Points whose largest |coordinate| lies outside [2**-64, 2**64] are
+    first scaled by the power of two that brings it into [0.5, 1): exact,
+    so no comparison and no output changes, while the squared differences
+    stay clear of overflow and underflow.  Other points are not copied.
+
     One index and one exact self-query serve every stage.  The query is as
     wide as the largest k_l or k_g, or as the columns the bagging rounds
     read (bagging._table_width), and every plan's rounds read it.  It
@@ -335,20 +338,24 @@ def _fits(points, configs, timings):
     and bagging recomputes the k_d-th distances it needs.  Configs
     with equal plans share one bagging pass; with equal (plan, k_l), one
     score vector, one first_scoring table over their lambdas and, per k_g,
-    one connected_components call that labels every lambda.  With several
-    lambdas that call runs on the k_g graph's spanning_forest, which costs
-    more to build than one call on the graph.  The lambdas then run one at
-    a time on the calling thread, each running nearest_core once per
-    distinct surviving core set: the first_scoring column answers each
-    non-core row whose first point survived, an index over the surviving
-    core points every other one.  finalize runs once per config and is
-    looked up by name, so the benchmark's tracer sees every call.
+    one connected_components call that labels every lambda on the k_g
+    graph, the table's CSR view, or with several lambdas on its
+    spanning_forest, which costs more to build than one call on the graph.
+    The lambdas then run one at a time on the calling thread, each running
+    nearest_core once per distinct surviving core set: the first_scoring
+    column answers each non-core row whose first point survived, an index
+    over the surviving core points every other one.  finalize runs once per
+    config and is looked up by name, so the benchmark's tracer sees every
+    call.
 
     timings gets "index" for the index build, "bagged_kdist" for the
     rounds and for the query if they read it, "plls" for the scores and
     for a query that no plan reads, "graph", "components", and "finalize",
     which includes first_scoring.
     """
+    _, e = np.frexp(max(points.max(), -points.min()))
+    if abs(e) > 64:
+        points = np.ldexp(points, -e)
     n = points.shape[0]
     groups = {}  # plan -> k_l -> the configs that share one score vector
     for c in configs:
@@ -383,11 +390,11 @@ def _fits(points, configs, timings):
             provisional = {}
             for kg in dict.fromkeys(c.k_g for c in cells):
                 t0 = time.perf_counter()
-                edges = graph_from_neighbors(nbr[:, :kg])
+                graph = graph_from_neighbors(nbr[:, :kg])
                 if len(lams) > 1:
-                    edges = spanning_forest(edges, scores)
+                    graph = spanning_forest(graph, scores)
                 t1 = time.perf_counter()
-                provisional[kg] = connected_components(masks, edges)
+                provisional[kg] = connected_components(masks, graph)
                 timings["graph"] += t1 - t0
                 timings["components"] += time.perf_counter() - t1
             for j, lam in enumerate(lams):

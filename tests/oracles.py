@@ -2,6 +2,7 @@
 
 import numpy as np
 from scipy.optimize import linear_sum_assignment
+from scipy.sparse import csr_matrix
 
 from bdmbc.knn import SpatialIndex
 
@@ -17,6 +18,13 @@ def dmbc_plls(points, k_d, k_l):
     order = np.argsort(dist, axis=1, kind="stable")
     kdist = dist[np.arange(len(points)), order[:, k_d - 1]]
     return (kdist[order[:, :k_l]] >= kdist[:, None]).sum(axis=1) / k_l
+
+
+def edge_graph(edges, n):
+    """The (n, n) CSR graph of an (m, 2) edge array, one entry per edge,
+    as connected_components and spanning_forest take it."""
+    edges = np.asarray(edges)
+    return csr_matrix((np.ones(len(edges)), (edges[:, 0], edges[:, 1])), shape=(n, n))
 
 
 def k_distances(idx, k):

@@ -37,7 +37,7 @@ from bdmbc import (
 )
 from bdmbc.data import _rng
 from bdmbc.knn import SpatialIndex
-from oracles import dmbc_plls, k_distances
+from oracles import dmbc_plls, edge_graph, k_distances
 
 
 def report(name, ok, detail):
@@ -176,7 +176,7 @@ def test_05_degenerate_equivalence():
 
         graph = build_kg_graph(idx, kg)
         mask, edges = core_subgraph(graph, scores, lam)
-        prov = connected_components(mask, edges)
+        prov = connected_components(mask, edge_graph(edges, n))
         nbr, _ = idx.query_bulk(pts, kg, exclude=np.arange(n))
         first = first_scoring(scores, nbr, [lam])[:, 0]
         labels, core, num = finalize(prov, mask, cfg.effective_min_cluster_size(),

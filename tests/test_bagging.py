@@ -474,6 +474,21 @@ def test_infinite_bagging_hand_example():
     assert vals[2] == pytest.approx(2.0)
 
 
+def test_infinite_bagging_memory_bounded():
+    # the rows' distances are formed, sorted and weighted a block at a time;
+    # one (n, n - 1) distance query peaked at 193 MiB here
+    import tracemalloc
+
+    pts = _rng(7, 15).standard_normal((4000, 3))
+    tracemalloc.start()
+    try:
+        infinite_bagged_k_distance(pts, s=400, k=5)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * 2**20, f"peak {peak / 2**20:.1f} MiB"
+
+
 def test_monte_carlo_deviation_shrinks_with_b():
     deviations = {b: [] for b in (10, 100, 1000, 10000)}
     for seed in range(10):

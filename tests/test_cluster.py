@@ -27,7 +27,7 @@ from bdmbc.cluster import (
 from bdmbc.data import Dataset, _rng, gen_multiblobs
 from bdmbc.knn import SpatialIndex
 from bdmbc.plls import empirical_plls, mode_set
-from oracles import dmbc_plls, finalize_by_tree, hostile_set, pairwise_order
+from oracles import dmbc_plls, edge_graph, finalize_by_tree, hostile_set, pairwise_order
 
 
 def brute_edges(points, k_g):
@@ -134,13 +134,24 @@ def test_threshold_monotonicity():
 
 def test_path_graph_one_component():
     labels = connected_components(np.ones(5, dtype=bool),
-                                  np.array([[0, 1], [1, 2], [2, 3], [3, 4]]))
+                                  edge_graph([[0, 1], [1, 2], [2, 3], [3, 4]], 5))
     assert np.array_equal(labels, np.zeros(5, dtype=np.int64))
 
 
 def test_empty_edges_singletons():
-    labels = connected_components(np.ones(3, dtype=bool), np.empty((0, 2), dtype=np.int64))
+    edges = np.empty((0, 2), dtype=np.int64)
+    labels = connected_components(np.ones(3, dtype=bool), edge_graph(edges, 3))
     assert np.array_equal(labels, [0, 1, 2])
+
+
+def test_an_edge_array_is_not_a_graph():
+    # read as a dense adjacency matrix, this (2, 2) edge array would be a
+    # valid graph on 2 points with the wrong meaning; it must raise instead
+    edges = np.array([[0, 1], [1, 0]])
+    with pytest.raises(AttributeError):
+        connected_components(np.ones(2, dtype=bool), edges)
+    with pytest.raises(AttributeError):
+        spanning_forest(edges, np.ones(2))
 
 
 @pytest.mark.parametrize("seed", range(4))
@@ -152,7 +163,7 @@ def test_components_match_bfs_oracle(seed):
     g = build_kg_graph(idx, 3)
     scores = dmbc_plls(pts, 2, min(10, n - 1))
     mask, edges = core_subgraph(g, scores, 0.6)
-    got = connected_components(mask, edges)
+    got = connected_components(mask, edge_graph(edges, n))
     oracle = bfs_components(n, [tuple(e) for e in edges], mask)
     assert np.array_equal(got, oracle)
 
@@ -169,47 +180,34 @@ def test_spanning_forest_keeps_every_lambdas_components():
             pts = np.round(pts * 4) / 4
         k_g = int(rng.integers(1, min(n - 1, 12) + 1))
         nbr, _ = SpatialIndex(pts).query_bulk(pts, k_g, exclude=np.arange(n))
-        edges = graph_from_neighbors(nbr)
-        assert edges.dtype == nbr.dtype == np.int32, case
+        edges = np.column_stack([np.repeat(np.arange(n), k_g), nbr.reshape(-1)])
+        graph = graph_from_neighbors(nbr)
+        # the graph's column indices are the table's own int32 indices
+        assert graph.indices.dtype == nbr.dtype == np.int32, case
+        assert np.shares_memory(graph.indices, nbr), case
         k_l = int(rng.integers(1, 20))
         scores = rng.integers(0, k_l + 1, n) / k_l
-        forest = spanning_forest(edges, scores)
-        assert forest.dtype == np.int32, case
-        # int64 edges span the same forest
-        assert np.array_equal(spanning_forest(edges.astype(np.int64), scores), forest), case
-        components = connected_components(np.ones(n, dtype=bool), edges).max() + 1
-        assert forest.shape == (n - components, 2), case
+        forest = spanning_forest(graph, scores)
+        # an int64 table spans the same forest
+        wide = spanning_forest(graph_from_neighbors(nbr.astype(np.int64)), scores)
+        assert (wide != forest).nnz == 0, case
+        components = connected_components(np.ones(n, dtype=bool), graph).max() + 1
+        assert forest.nnz == n - components, case
         levels = np.unique(scores)
         for lam in (0.0, *levels, *(levels[:-1] + levels[1:]) / 2, levels[-1] + 1 / k_l):
-            want = connected_components(*core_subgraph(edges, scores, lam))
-            got = connected_components(*core_subgraph(forest, scores, lam))
+            mask, cut = core_subgraph(edges, scores, lam)
+            want = connected_components(mask, edge_graph(cut, n))
+            got = connected_components(mask, forest)
             assert np.array_equal(got, want), (case, lam)
 
 
-def test_stacked_components_equal_each_lambdas_own(monkeypatch):
+def test_stacked_components_equal_each_lambdas_own():
     # random k-NN graphs and their forests, scores tied at multiples of
-    # 1/k_l: one call on a stack of lambda masks over the uncut edge list
+    # 1/k_l: one call on a stack of lambda masks over the uncut graph
     # gives, row by row, the one-lambda labels of the cut core subgraph
     # and the BFS oracle's; lambdas at 0, on a level, between levels and
-    # above the top score (no core point), and stacks of one row.  int32
-    # and int64 edges give equal labels, and the layered graph's node ids
-    # are int64 either way, since rows * n may pass 2**31
-    from bdmbc import cluster
-
-    built, node_ids = [], []
-    coo_matrix, components = cluster.coo_matrix, cluster._cc
-
-    def record_coo(arg, shape):
-        built.append(arg[1])
-        return coo_matrix(arg, shape=shape)
-
-    def record_components(graph, **kwargs):
-        # the layered graph is the last matrix built before the call
-        node_ids.extend(ids.dtype for ids in built[-1])
-        return components(graph, **kwargs)
-
-    monkeypatch.setattr(cluster, "coo_matrix", record_coo)
-    monkeypatch.setattr(cluster, "_cc", record_components)
+    # above the top score (no core point), and stacks of one row.  A graph
+    # with int64 index arrays gives equal labels
     rng = _rng(8, 38)
     for case in range(60):
         n = int(rng.integers(2, 150))
@@ -220,24 +218,26 @@ def test_stacked_components_equal_each_lambdas_own(monkeypatch):
         nbr, _ = SpatialIndex(pts).query_bulk(pts, k_g, exclude=np.arange(n))
         k_l = int(rng.integers(1, 20))
         scores = rng.integers(0, k_l + 1, n) / k_l
-        edges = graph_from_neighbors(nbr)
+        graph = graph_from_neighbors(nbr)
         levels = np.unique(scores)
         lams = np.array([0.0, *levels, *(levels[:-1] + levels[1:]) / 2, levels[-1] + 1 / k_l])
         rng.shuffle(lams)
         if case % 5 == 0:
             lams = lams[:1]
         masks = scores >= lams[:, None]
-        for graph in (edges, spanning_forest(edges, scores)):
-            got = connected_components(masks, graph)
+        for g in (graph, spanning_forest(graph, scores)):
+            edges = np.column_stack(g.nonzero())
+            got = connected_components(masks, g)
             assert got.shape == (len(lams), n) and got.dtype == np.int64, case
-            assert graph.dtype == np.int32, case
-            assert np.array_equal(connected_components(masks, graph.astype(np.int64)), got), case
+            wide = g.copy()
+            wide.indices, wide.indptr = wide.indices.astype(np.int64), wide.indptr.astype(np.int64)
+            assert np.array_equal(connected_components(masks, wide), got), case
             for j, lam in enumerate(lams):
-                want = connected_components(*core_subgraph(graph, scores, lam))
+                mask, cut = core_subgraph(edges, scores, lam)
+                want = connected_components(mask, edge_graph(cut, n))
                 assert np.array_equal(got[j], want), (case, lam)
-                assert np.array_equal(got[j], bfs_components(n, graph, masks[j])), (case, lam)
+                assert np.array_equal(got[j], bfs_components(n, edges, masks[j])), (case, lam)
             assert np.all(got[lams > levels[-1]] == -1), case
-    assert node_ids and all(dtype == np.int64 for dtype in node_ids)
 
 
 # ---------------------------------------------------------------- finalize
@@ -332,7 +332,7 @@ def finalize_cases():
         cells = []
         for lam in (0.3, 0.5, 0.8):
             mask, edges = core_subgraph(graph, scores, lam)
-            provisional = connected_components(mask, edges)
+            provisional = connected_components(mask, edge_graph(edges, len(pts)))
             cells += [(lam, provisional, mask, min_size) for min_size in (30, 60)]
         yield name, pts, scores, cells
     n = len(blobs)
@@ -563,6 +563,29 @@ def test_full_fit_peak_memory():
     assert peak < 28 * 2**20, f"peak {peak / 2**20:.1f} MiB"
 
 
+@pytest.mark.parametrize("e", [-600, -300, 300, 600])
+def test_fit_and_grid_do_not_depend_on_scale(e):
+    # scaled by 2**e, a fit on each bagging path (rank table, s == n,
+    # brute-force and tree rounds) and a grid give the unscaled result JSON
+    # byte for byte; at 2**+-600 the squared differences overflowed or
+    # underflowed and the first fit found 1 cluster instead of 4
+    from bdmbc.grid import grid_search
+
+    small = gen_multiblobs(600, 3, 4, seed=1)
+    large = gen_multiblobs(2100, 3, 4, seed=1)
+    runs = [(small, BdmbcConfig(k_d=5, k_l=30, rho=0.5)),
+            (small, BdmbcConfig(k_d=5, k_l=30, b=1, rho=1.0)),
+            (large, BdmbcConfig(k_d=5, k_l=30, b=2, rho=0.1)),
+            (large, BdmbcConfig(k_d=5, k_l=30, b=2, s=1100))]
+    for ds, cfg in runs:
+        want = json.dumps(bdmbc_fit(ds, cfg).to_json_dict())
+        assert json.dumps(bdmbc_fit(ds.points * 2.0**e, cfg).to_json_dict()) == want, cfg
+    grid = {"b": [2], "rho": [0.5], "kd": [5], "kl": [20, 30], "kg": [5, 10],
+            "lambda": [0.3, 0.6]}
+    scaled = Dataset(small.points * 2.0**e, small.labels)
+    assert grid_search(scaled, grid) == grid_search(small, grid)
+
+
 def test_fit_deterministic():
     ds = gen_multiblobs(300, 3, 4, seed=1)
     cfg = BdmbcConfig(k_d=8, k_l=30, b=4, rho=0.4, k_g=8, lam=0.5, seed=9)
@@ -620,7 +643,7 @@ def test_fit_equals_public_stage_composition(quantized, bagged):
     mask, edges = core_subgraph(build_kg_graph(idx, cfg.k_g), scores, cfg.lam)
     nbr, _ = idx.query_bulk(pts, cfg.k_g, exclude=np.arange(600))
     first = first_scoring(scores, nbr, [cfg.lam])[:, 0]
-    labels, core, num = finalize(connected_components(mask, edges), mask,
+    labels, core, num = finalize(connected_components(mask, edge_graph(edges, 600)), mask,
                                  cfg.effective_min_cluster_size(),
                                  lambda core: nearest_core(pts, first, core))
     modes = mode_set(scores)
@@ -661,3 +684,19 @@ def test_quantized_100k_fit_time_bounded():
     elapsed = time.perf_counter() - t0
     assert res.labels.shape == (100000,)
     assert elapsed < 15.0, f"{elapsed:.1f} s"
+
+
+def test_quantized_100k_fit_peak_memory():
+    # when most points are core, the components stage sets the fit's peak:
+    # the k_g graph is the neighbor table's CSR view and its components
+    # come from the subgraph the core points induce; an edge-list copy,
+    # layered node ids and a COO matrix peaked at 114.8 MiB on this fit
+    pts = np.round(gen_multiblobs(n=100000, d=2, clusters=6, seed=5).points / 0.25) * 0.25
+    cfg = BdmbcConfig(k_d=10, k_l=50, b=5, rho=0.25, k_g=15, lam=0.5, seed=0)
+    tracemalloc.start()
+    try:
+        bdmbc_fit(pts, cfg)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 90 * 2**20, f"peak {peak / 2**20:.1f} MiB"

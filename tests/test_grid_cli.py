@@ -135,9 +135,9 @@ def test_only_a_score_vector_with_several_lambdas_builds_forests(monkeypatch):
     built = []
     spanning_forest = bdmbc.cluster.spanning_forest
 
-    def counted(edges, scores):
-        built.append(len(edges))
-        return spanning_forest(edges, scores)
+    def counted(graph, scores):
+        built.append(graph.nnz)
+        return spanning_forest(graph, scores)
 
     monkeypatch.setattr(bdmbc.cluster, "spanning_forest", counted)
     base = {"b": [2], "rho": [0.5], "kd": [5], "kl": [20, 30], "kg": [5, 10, 15]}
