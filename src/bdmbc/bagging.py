@@ -4,20 +4,26 @@ Each bagging round draws its subsample without replacement from an
 independent Philox stream keyed (seed, round), so rounds are reproducible
 and order-independent.  The rank table, s == n and the tree rounds read
 neighbor indices alone and recompute each k_d-th distance with
-knn.exact_distances, as the k-NN query computes it.  Every path adds its
-rounds one at a time in round order, so the rank table and the tree rounds
-agree bit for bit, at any thread count.
+knn.exact_distances, as the k-NN query computes it.  A tree round's value
+for a point depends only on its location and on whether it was drawn, so
+each round queries every distinct location once, for k_d + 1 members and
+excluding none.  Every path adds its rounds one at a time in round order,
+so the rank table and the tree rounds agree bit for bit, at any thread
+count.  bagged_k_distance and infinite_bagged_k_distance are scale-free:
+data scaled by a power of two gives values scaled by that power, bit for
+bit.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
-from .data import _points, _rng
-from .knn import _DIFF_ELEMENTS, SpatialIndex, exact_distances, ordered_map
+from .data import _points, _rng, _unit_scale
+from .knn import _DIFF_ELEMENTS, SpatialIndex, _group_rows, exact_distances, ordered_map
 
 # Up to this size one exact self-excluded k-NN index table, as wide as the
 # rank table reaches, serves all bagging rounds; above it, per-round scans
@@ -153,35 +159,45 @@ def _kth_distance(points, kth):
     return exact_distances(points, points, kth[:, None])[:, 0]
 
 
-def _round_tree(points, sub, k_d):
-    # Exclusion works in subsample coordinates: each global point maps to
-    # its subsample position, or to -1 (excluding nothing) if absent.
-    pos = np.full(points.shape[0], -1, dtype=np.int64)
-    pos[sub] = np.arange(len(sub))
-    nbr, _ = SpatialIndex(points[sub]).query_bulk(points, k_d, exclude=pos, distances=False)
-    return _kth_distance(points, sub[nbr[:, -1]])
+def _round_tree(points, sites, site, sub, k_d):
+    """One round's k_d-distances from one query of each distinct location
+    (sites; point i lies at sites[site[i]]) for k_d + 1 members of the
+    subsample, excluding none.  A drawn point's own copy lies at distance
+    0, no farther than any other member, so dropping it moves its k_d-th
+    distance to column k_d; an undrawn point reads column k_d - 1."""
+    drawn = np.zeros(points.shape[0], dtype=np.intp)
+    drawn[sub] = 1
+    nbr, _ = SpatialIndex(points[sub]).query_bulk(sites, k_d + 1, distances=False)
+    return _kth_distance(points, sub[nbr[site, k_d - 1 + drawn]])
 
 
 def _bagged_per_round(points, plan):
     """One subsample scan per round; brute force when the subsample is small.
 
-    Brute-force rounds fan out through ordered_map.  Tree rounds run on the
-    calling thread: their query fans out its own blocks, and on a pool here
-    the quantized-ties fit peaked 1.3-2.0 MB higher.  The total adds the
-    rounds in round order.
+    Brute-force rounds fan out through ordered_map.  Tree rounds group the
+    points by location once per pass and query each distinct location once
+    a round, so their cost grows with the distinct locations, not with n.
+    They run on the calling thread: their query fans out its own blocks,
+    and on a pool here the quantized-ties fit peaked 1.3-2.0 MB higher.
+    The total adds the rounds in round order.
     """
     n = points.shape[0]
     brute = plan.s <= _BRUTE_SUBSAMPLE_MAX_S
-    one_round = _round_brute if brute else _round_tree
     if brute:
         # Brute rounds form |x|^2 + |y|^2 - 2 x.y, which cancels when the
         # coordinates are large next to neighbor distances: at an offset of
         # 1.7e9 every k-distance came out 0.  Centred, they match the tree
         # rounds on the offset data.
-        points = points - points.mean(axis=0)
+        one_round = partial(_round_brute, points - points.mean(axis=0), k_d=plan.k_d)
+    else:
+        first, rows, _, sizes = _group_rows(points)
+        site = np.empty(n, dtype=np.intp)
+        site[rows] = np.repeat(np.arange(first.size), sizes)
+        sites = points if first.size == n else points[first]
+        one_round = partial(_round_tree, points, sites, site, k_d=plan.k_d)
 
     def run(b):
-        return one_round(points, subsample(n, plan.s, _rng(plan.seed, b)), plan.k_d)
+        return one_round(subsample(n, plan.s, _rng(plan.seed, b)))
 
     total = np.zeros(n)
     for values in ordered_map(run, range(plan.b), None if brute else 1):
@@ -212,22 +228,28 @@ def bagged_k_distance(ds, plan, table=None):
     wide (the rank table's reach, k_d + n - s, or k_d at s == n), and
     recompute each k_d-th distance as the query computes it: pass table= to
     share one with other stages, as the grid and the fit do, or it is
-    queried here.
+    queried here.  Points of a large or small scale are scaled by a power
+    of two first (data._unit_scale), and the values scaled back, so data
+    scaled by 2**e gives the values times 2**e bit for bit.
     """
-    points = _points(ds)
+    points, e = _unit_scale(_points(ds))
     n = points.shape[0]
     plan.validate(n)
     width = _table_width(n, [plan])
     if width == 0:
-        return _bagged_per_round(points, plan)
-    if table is None:
-        idx = SpatialIndex(points)
-        table, _ = idx.query_bulk(idx.points, width, exclude=np.arange(n), distances=False)
-    if plan.s == n:
-        # Every round sees the full data, so the average is the plain
-        # k-distance regardless of B.
-        return _kth_distance(points, table[:, plan.k_d - 1])
-    return _bagged_rank_table(points, table, plan)
+        values = _bagged_per_round(points, plan)
+    else:
+        if table is None:
+            idx = SpatialIndex(points)
+            table, _ = idx.query_bulk(idx.points, width, exclude=np.arange(n),
+                                      distances=False)
+        if plan.s == n:
+            # Every round sees the full data, so the average is the plain
+            # k-distance regardless of B.
+            values = _kth_distance(points, table[:, plan.k_d - 1])
+        else:
+            values = _bagged_rank_table(points, table, plan)
+    return np.ldexp(values, e)
 
 
 def _weight_block(n, s, ks):
@@ -288,9 +310,9 @@ def infinite_bagged_k_distance(ds, s, k):
     n-1 and sample size min(s, n-1) (self excluded).  O(n^2) time, for
     moderate n and as the Monte-Carlo oracle; the rows' distances are
     formed, sorted and weighted in blocks of at most knn._DIFF_ELEMENTS,
-    so memory stays O(n).
+    so memory stays O(n).  Scale-free as bagged_k_distance is.
     """
-    points = _points(ds)
+    points, e = _unit_scale(_points(ds))
     n = points.shape[0]
     s_eff = min(s, n - 1)
     if not 1 <= k <= s_eff:
@@ -303,7 +325,7 @@ def infinite_bagged_k_distance(ds, s, k):
         dist[np.arange(len(dist)), np.arange(lo, lo + len(dist))] = np.inf  # self sorts last
         dist.sort(axis=1)
         out[lo : lo + step] = dist[:, :-1] @ weights
-    return out
+    return np.ldexp(out, e)
 
 
 def unit_ball_volume(d):

@@ -32,7 +32,7 @@ from scipy.sparse.csgraph import connected_components as _cc
 from scipy.sparse.csgraph import minimum_spanning_tree
 
 from .bagging import BaggingPlan, _table_width, bagged_k_distance, check_integers
-from .data import DataError, _points, check_seed, parse_number
+from .data import DataError, _points, _unit_scale, check_seed, parse_number
 from .knn import _DIFF_ELEMENTS, SpatialIndex
 from .plls import mode_set, plls_from_neighbors
 # empirical_plls stays importable from this module, where the benchmark's
@@ -326,10 +326,9 @@ def _fits(points, configs, timings):
     each config, valid on these n >= 2 points, one lambda's configs at a
     time: bdmbc_fit runs one config, grid_search a grid's.
 
-    Points whose largest |coordinate| lies outside [2**-64, 2**64] are
-    first scaled by the power of two that brings it into [0.5, 1): exact,
-    so no comparison and no output changes, while the squared differences
-    stay clear of overflow and underflow.  Other points are not copied.
+    Points of a large or small scale are first scaled by a power of two
+    (data._unit_scale): exact, so no output changes, while the squared
+    differences stay clear of overflow and underflow.
 
     One index and one exact self-query serve every stage.  The query is as
     wide as the largest k_l or k_g, or as the columns the bagging rounds
@@ -353,9 +352,7 @@ def _fits(points, configs, timings):
     for a query that no plan reads, "graph", "components", and "finalize",
     which includes first_scoring.
     """
-    _, e = np.frexp(max(points.max(), -points.min()))
-    if abs(e) > 64:
-        points = np.ldexp(points, -e)
+    points, _ = _unit_scale(points)
     n = points.shape[0]
     groups = {}  # plan -> k_l -> the configs that share one score vector
     for c in configs:

@@ -33,6 +33,19 @@ def _points(ds):
     return ds.points if hasattr(ds, "points") else Dataset(ds).points
 
 
+def _unit_scale(points):
+    """(points times 2**-e, e).  Points whose largest |coordinate| lies
+    outside [2**-64, 2**64] are scaled by the power of two that brings it
+    into [0.5, 1): exact, so no comparison changes and a distance found on
+    them times 2**e is the one on the caller's points, while their squared
+    differences stay clear of overflow and underflow.  Other points are not
+    copied (e = 0)."""
+    _, e = np.frexp(max(points.max(), -points.min()))
+    if abs(e) <= 64:
+        return points, 0
+    return np.ldexp(points, -e), int(e)
+
+
 @dataclass(frozen=True)
 class Dataset:
     """An n x d point matrix with optional integer ground-truth labels."""

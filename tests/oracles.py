@@ -4,7 +4,7 @@ import numpy as np
 from scipy.optimize import linear_sum_assignment
 from scipy.sparse import csr_matrix
 
-from bdmbc.knn import SpatialIndex
+from bdmbc.knn import SpatialIndex, exact_distances
 
 
 def dmbc_plls(points, k_d, k_l):
@@ -31,6 +31,16 @@ def k_distances(idx, k):
     """Vector of k-distances for every indexed point (self excluded)."""
     _, dist = idx.query_bulk(idx.points, k, exclude=np.arange(idx.n))
     return dist[:, -1].copy()
+
+
+def tree_round_by_rows(points, sub, k_d):
+    """One bagging round's k_d-distances from a query of every row against
+    a tree over the subsample, each drawn row excluding its own index
+    (in subsample coordinates; -1, excluding nothing, for the others)."""
+    pos = np.full(points.shape[0], -1, dtype=np.int64)
+    pos[sub] = np.arange(len(sub))
+    nbr, _ = SpatialIndex(points[sub]).query_bulk(points, k_d, exclude=pos, distances=False)
+    return exact_distances(points, points, sub[nbr[:, -1:]])[:, 0]
 
 
 def contingency_by_add_at(true_labels, pred_labels):

@@ -22,7 +22,7 @@ from bdmbc.bagging import (
 )
 from bdmbc.data import Dataset, _rng, gen_multiblobs
 from bdmbc.knn import SpatialIndex
-from oracles import hostile_set, k_distances, pairwise_order
+from oracles import hostile_set, k_distances, pairwise_order, tree_round_by_rows
 
 
 def exact_weights(n, s, k):
@@ -286,13 +286,11 @@ def test_windowed_rounds_memory_bounded():
 
 def tree_rounds(points, plan):
     """Oracle: per-round tree k_d-distances added in round order."""
-    from bdmbc import bagging
-
     n = len(points)
     total = np.zeros(n)
     for b in range(plan.b):
-        total += bagging._round_tree(points, subsample(n, plan.s, _rng(plan.seed, b)),
-                                     plan.k_d)
+        total += tree_round_by_rows(points, subsample(n, plan.s, _rng(plan.seed, b)),
+                                    plan.k_d)
     return total / plan.b
 
 
@@ -389,9 +387,50 @@ def test_tree_round_equals_brute_round_on_grid():
         sub = subsample(len(pts), plan.s, _rng(plan.seed, b))
         for k_d in (1, plan.k_d, 40):
             brute = bagging._round_brute(pts, sub, k_d)
-            assert np.array_equal(bagging._round_tree(pts, sub, k_d), brute), (b, k_d)
+            assert np.array_equal(tree_round_by_rows(pts, sub, k_d), brute), (b, k_d)
         total += bagging._round_brute(pts, sub, plan.k_d)
     assert np.array_equal(bagged_k_distance(pts, plan), total / plan.b)
+
+
+def test_tree_rounds_equal_row_by_row_rounds(monkeypatch):
+    # a tree round queries each distinct location once for k_d + 1 members,
+    # excluding none; every k_d gives the row-by-row, self-excluding rounds'
+    # total bit for bit on every hostile kind
+    from bdmbc import bagging
+
+    monkeypatch.setattr(bagging, "_BRUTE_SUBSAMPLE_MAX_S", 0)
+    rng = _rng(15, 26)
+    for kind in ("continuous", "duplicates", "signed-zero", "lattice", "offset"):
+        for n, d, s in ((40, 1, 12), (90, 2, 30), (60, 5, 20)):
+            pts = hostile_set(rng, kind, n, d)
+            for k_d in range(1, s):
+                plan = BaggingPlan(b=3, s=s, k_d=k_d, seed=k_d)
+                got = bagging._bagged_per_round(pts, plan)
+                assert np.array_equal(got, tree_rounds(pts, plan)), (kind, n, d, k_d)
+
+
+def test_tree_rounds_query_each_location_once(monkeypatch):
+    # every tree round queries the lattice's distinct rows, not all n, and
+    # excludes nothing
+    from bdmbc import bagging
+
+    calls = []
+    query_bulk = SpatialIndex.query_bulk
+
+    def counting(self, queries, k, exclude=None, distances=True):
+        calls.append((len(queries), exclude is None))
+        return query_bulk(self, queries, k, exclude, distances)
+
+    monkeypatch.setattr(SpatialIndex, "query_bulk", counting)
+    pts = hostile_set(_rng(16, 27), "lattice", 3000, 2)
+    assert not np.any(np.signbit(pts))
+    plan = BaggingPlan(b=4, s=1200, k_d=5, seed=2)
+    assert plan.s > bagging._BRUTE_SUBSAMPLE_MAX_S
+    assert len(pts) > bagging._RANK_TABLE_MAX_N
+    bagged_k_distance(pts, plan)
+    distinct = len(np.unique(pts, axis=0))
+    assert distinct < len(pts)
+    assert calls == [(distinct, True)] * plan.b
 
 
 def test_brute_rounds_on_a_pool_sum_in_round_order(monkeypatch):
@@ -425,8 +464,8 @@ def test_brute_rounds_exact_on_shifted_data(offset):
     assert plan.s <= bagging._BRUTE_SUBSAMPLE_MAX_S
     total = np.zeros(len(pts))
     for b in range(plan.b):
-        total += bagging._round_tree(pts, subsample(len(pts), plan.s, _rng(plan.seed, b)),
-                                     plan.k_d)
+        total += tree_round_by_rows(pts, subsample(len(pts), plan.s, _rng(plan.seed, b)),
+                                    plan.k_d)
     oracle = total / plan.b
     got = bagged_k_distance(pts, plan)
     assert np.max(np.abs(got - oracle) / oracle) < 1e-12
@@ -439,6 +478,24 @@ def test_bagged_scale_equivariance():
     base = bagged_k_distance(pts, plan)
     scaled = bagged_k_distance(pts * 2.0, plan)  # power of two: exact
     assert np.array_equal(scaled, 2.0 * base)
+
+
+@pytest.mark.parametrize("e", [-600, -300, 300, 600])
+def test_distance_functions_do_not_depend_on_scale(e):
+    # scaled by 2**e, every bagging path and the infinite limit give the
+    # unscaled values times 2**e bit for bit; at 2**600 the squared
+    # differences overflowed to inf, and at 2**-600 they underflowed to 0
+    small = gen_multiblobs(600, 3, 4, seed=1).points
+    large = gen_multiblobs(2100, 3, 4, seed=1).points
+    runs = [(small, BaggingPlan(b=3, s=300, k_d=5, seed=1)),   # rank table
+            (small, BaggingPlan(b=2, s=600, k_d=5)),           # s == n
+            (large, BaggingPlan(b=2, s=200, k_d=5, seed=2)),   # brute rounds
+            (large, BaggingPlan(b=2, s=1100, k_d=5, seed=3))]  # tree rounds
+    for pts, plan in runs:
+        want = np.ldexp(bagged_k_distance(pts, plan), e)
+        assert np.array_equal(bagged_k_distance(np.ldexp(pts, e), plan), want), plan
+    want = np.ldexp(infinite_bagged_k_distance(small, s=300, k=5), e)
+    assert np.array_equal(infinite_bagged_k_distance(np.ldexp(small, e), s=300, k=5), want)
 
 
 def test_invalid_plan():
