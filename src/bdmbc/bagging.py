@@ -6,12 +6,12 @@ and order-independent.  The rank table, s == n and the tree rounds read
 neighbor indices alone and recompute each k_d-th distance with
 knn.exact_distances, as the k-NN query computes it.  A tree round's value
 for a point depends only on its location and on whether it was drawn, so
-each round queries every distinct location once, for k_d + 1 members and
-excluding none.  Every path adds its rounds one at a time in round order,
-so the rank table and the tree rounds agree bit for bit, at any thread
-count.  bagged_k_distance and infinite_bagged_k_distance are scale-free:
-data scaled by a power of two gives values scaled by that power, bit for
-bit.
+each round queries every distinct location once, for its members of
+ranks k_d and k_d + 1 alone and excluding none.  Every path adds its
+rounds one at a time in round order, so the rank table and the tree
+rounds agree bit for bit, at any thread count.  bagged_k_distance and
+infinite_bagged_k_distance are scale-free: data scaled by a power of two
+gives values scaled by that power, bit for bit.
 """
 
 from __future__ import annotations
@@ -23,7 +23,8 @@ from functools import partial
 import numpy as np
 
 from .data import _points, _rng, _unit_scale
-from .knn import _DIFF_ELEMENTS, SpatialIndex, _group_rows, exact_distances, ordered_map
+from .knn import (_DIFF_ELEMENTS, Ranks, SpatialIndex, _group_rows, _k_for, exact_distances,
+                  ordered_map)
 
 # Up to this size one exact self-excluded k-NN index table, as wide as the
 # rank table reaches, serves all bagging rounds; above it, per-round scans
@@ -161,14 +162,16 @@ def _kth_distance(points, kth):
 
 def _round_tree(points, sites, site, sub, k_d):
     """One round's k_d-distances from one query of each distinct location
-    (sites; point i lies at sites[site[i]]) for k_d + 1 members of the
-    subsample, excluding none.  A drawn point's own copy lies at distance
-    0, no farther than any other member, so dropping it moves its k_d-th
-    distance to column k_d; an undrawn point reads column k_d - 1."""
+    (sites; point i lies at sites[site[i]]) for the subsample members of
+    ranks k_d and k_d + 1, excluding none.  A drawn point's own copy lies
+    at distance 0, no farther than any other member, so dropping it moves
+    its k_d-th distance to rank k_d + 1 (column 1); an undrawn point reads
+    rank k_d (column 0)."""
     drawn = np.zeros(points.shape[0], dtype=np.intp)
     drawn[sub] = 1
-    nbr, _ = SpatialIndex(points[sub]).query_bulk(sites, k_d + 1, distances=False)
-    return _kth_distance(points, sub[nbr[site, k_d - 1 + drawn]])
+    nbr, _ = SpatialIndex(points[sub]).query_bulk(sites, Ranks((k_d, k_d + 1)),
+                                                  distances=False)
+    return _kth_distance(points, sub[nbr[site, drawn]])
 
 
 def _bagged_per_round(points, plan):
@@ -205,17 +208,50 @@ def _bagged_per_round(points, plan):
     return total / plan.b
 
 
-def _table_width(n, plans):
-    """The columns of the self-excluded k-NN table of n points that bagging
-    reads for these plans: the rank table (n <= _RANK_TABLE_MAX_N, s < n)
-    reads indices up to its reach, s == n reads the index column k_d - 1,
-    and per-round scans read none (0).  Every path reads indices alone and
-    recomputes its k_d-th distances with exact_distances.
+def _table_ranks(n, plans, lead=0):
+    """The ascending 1-based ranks of the self-excluded k-NN table of n
+    points that bagging reads for these plans, beside ranks 1..lead that
+    other stages read: the rank table (s < n <= _RANK_TABLE_MAX_N) reads
+    ranks 1 up to its reach, s == n reads rank k_d alone, and per-round
+    scans read none.  Every path reads indices alone and recomputes its
+    k_d-th distances with exact_distances.
 
     The grid's trimodal plan (n=2000, s=1800, k_d=300) reaches 500 of the
-    1999 columns, so its shared table is as wide as k_l = 750."""
-    return max([_rank_reach(n, plan) for plan in plans if plan.s < n <= _RANK_TABLE_MAX_N]
-               + [plan.k_d for plan in plans if plan.s == n], default=0)
+    1999 ranks, so its shared table is as wide as k_l = 750.  The full fit
+    at k_d=100 beside k_l=50 reads ranks 1..50 and 100: 51 columns."""
+    reach = max([_rank_reach(n, p) for p in plans if p.s < n <= _RANK_TABLE_MAX_N], default=0)
+    return sorted({*range(1, max(lead, reach) + 1), *(p.k_d for p in plans if p.s == n)})
+
+
+def _table_width(n, plans):
+    """How wide a table that bagged_k_distance reads for these plans must
+    be, 0 when it reads none: the highest of their _table_ranks."""
+    return max(_table_ranks(n, plans), default=0)
+
+
+def _read_columns(table, n, plan, width):
+    """The columns of a table passed to bagged_k_distance that the plan's
+    rounds read: the first width, or column k_d - 1 at s == n.
+
+    ValueError unless table is an (n, >= width) integer matrix whose read
+    columns and first column name points in [0, n), none in its own row.
+    A query without exclusion lists each row's own point first, unless a
+    lower-index copy shares its coordinates, so the first column catches
+    most such tables at s == n too."""
+    table = np.asarray(table)
+    if (table.ndim != 2 or table.shape[0] != n or table.shape[1] < width
+            or table.dtype.kind not in "iu"):
+        raise ValueError(f"table must be an integer index matrix of shape ({n}, >= {width}), "
+                         f"got {table.dtype} {table.shape}")
+    read = table[:, [0, plan.k_d - 1]] if plan.s == n else table[:, :width]
+    if read.min() < 0 or read.max() >= n:
+        raise ValueError(f"table indices must lie in [0, {n})")
+    step = max(_DIFF_ELEMENTS // read.shape[1], 1)
+    for lo in range(0, n, step):
+        if np.any(read[lo : lo + step] == np.arange(lo, min(lo + step, n))[:, None]):
+            raise ValueError("table lists a point in its own row: it must come from a "
+                             "query that excludes each row's own index")
+    return read[:, -1] if plan.s == n else read
 
 
 def bagged_k_distance(ds, plan, table=None):
@@ -224,13 +260,15 @@ def bagged_k_distance(ds, plan, table=None):
     A point inside a round's subsample is excluded from its own neighbor
     list there.  The degenerate plan (B=1, s=n) equals the plain
     k-distance bit for bit.  Where _table_width is nonzero the rounds read
-    the index matrix of the points' self-excluded k-NN table, at least that
-    wide (the rank table's reach, k_d + n - s, or k_d at s == n), and
-    recompute each k_d-th distance as the query computes it: pass table= to
-    share one with other stages, as the grid and the fit do, or it is
-    queried here.  Points of a large or small scale are scaled by a power
-    of two first (data._unit_scale), and the values scaled back, so data
-    scaled by 2**e gives the values times 2**e bit for bit.
+    indices of the points' self-excluded k-NN table and recompute each
+    k_d-th distance as the query computes it.  Pass table= to share one
+    with other stages, as the grid and the fit do: its column j must hold
+    rank j + 1 up to _table_width (the rank table's reach, k_d + n - s, or
+    k_d at s == n, where only column k_d - 1 is read), or ValueError.
+    Else the ranks the rounds read (_table_ranks) are queried here.  Points
+    of a large or small scale are scaled by a power of two first
+    (data._unit_scale), and the values scaled back, so data scaled by 2**e
+    gives the values times 2**e bit for bit.
     """
     points, e = _unit_scale(_points(ds))
     n = points.shape[0]
@@ -241,14 +279,18 @@ def bagged_k_distance(ds, plan, table=None):
     else:
         if table is None:
             idx = SpatialIndex(points)
-            table, _ = idx.query_bulk(idx.points, width, exclude=np.arange(n),
-                                      distances=False)
+            read, _ = idx.query_bulk(idx.points, _k_for(_table_ranks(n, [plan])),
+                                     exclude=np.arange(n), distances=False)
+            if plan.s == n:
+                read = read[:, 0]  # rank k_d, the one queried
+        else:
+            read = _read_columns(table, n, plan, width)
         if plan.s == n:
             # Every round sees the full data, so the average is the plain
             # k-distance regardless of B.
-            values = _kth_distance(points, table[:, plan.k_d - 1])
+            values = _kth_distance(points, read)
         else:
-            values = _bagged_rank_table(points, table, plan)
+            values = _bagged_rank_table(points, read, plan)
     return np.ldexp(values, e)
 
 

@@ -31,9 +31,10 @@ from scipy.sparse import csr_matrix, identity, kron
 from scipy.sparse.csgraph import connected_components as _cc
 from scipy.sparse.csgraph import minimum_spanning_tree
 
-from .bagging import BaggingPlan, _table_width, bagged_k_distance, check_integers
+from .bagging import (BaggingPlan, _table_ranks, _table_width, bagged_k_distance,
+                      check_integers)
 from .data import DataError, _points, _unit_scale, check_seed, parse_number
-from .knn import _DIFF_ELEMENTS, SpatialIndex
+from .knn import _DIFF_ELEMENTS, SpatialIndex, _k_for
 from .plls import mode_set, plls_from_neighbors
 # empirical_plls stays importable from this module, where the benchmark's
 # tracer wraps the stages; bdmbc_fit slices one neighbor table instead.
@@ -330,11 +331,13 @@ def _fits(points, configs, timings):
     (data._unit_scale): exact, so no output changes, while the squared
     differences stay clear of overflow and underflow.
 
-    One index and one exact self-query serve every stage.  The query is as
-    wide as the largest k_l or k_g, or as the columns the bagging rounds
-    read (bagging._table_width), and every plan's rounds read it.  It
-    holds int32 indices and no distances: every stage reads indices alone,
-    and bagging recomputes the k_d-th distances it needs.  Configs
+    One index and one exact self-query serve every stage.  It holds the
+    ranks some stage reads and no others (bagging._table_ranks): 1 up to
+    the largest k_l or k_g, or up to the rank table's reach, plus k_d for
+    each s == n plan, which reads that column alone.  So the full fit at
+    k_d=100 beside k_l=50 keeps 51 columns, not 100.  It holds int32
+    indices and no distances: every stage reads indices alone, and
+    bagging recomputes the k_d-th distances it needs.  Configs
     with equal plans share one bagging pass; with equal (plan, k_l), one
     score vector, one first_scoring table over their lambdas and, per k_g,
     one connected_components call that labels every lambda on the k_g
@@ -362,10 +365,19 @@ def _fits(points, configs, timings):
     idx = SpatialIndex(points)
     t1 = time.perf_counter()
     read = _table_width(n, groups)
-    table, _ = idx.query_bulk(idx.points, max(width, read), exclude=np.arange(n),
+    ranks = _table_ranks(n, groups, width)
+    table, _ = idx.query_bulk(idx.points, _k_for(ranks), exclude=np.arange(n),
                               distances=False)
     t2 = time.perf_counter()
-    bagged = {plan: bagged_k_distance(points, plan, table=table) for plan in groups}
+
+    def shared(plan):
+        # an s == n plan reads column k_d - 1 alone: hand it a view that
+        # repeats the column of rank k_d that wide
+        if plan.s < n:
+            return table
+        return np.broadcast_to(table[:, ranks.index(plan.k_d), None], (n, plan.k_d))
+
+    bagged = {plan: bagged_k_distance(points, plan, table=shared(plan)) for plan in groups}
     t3 = time.perf_counter()
     timings.update(index=t1 - t0, bagged_kdist=t3 - (t1 if read else t2),
                    plls=0.0 if read else t2 - t1, graph=0.0, components=0.0, finalize=0.0)

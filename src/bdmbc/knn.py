@@ -23,12 +23,18 @@ row then dropping its own), so query cost grows with distinct locations,
 not with copies.  A query of the index's own point matrix takes the
 index's locations as its groups.
 
+A query's k may also be an ascending list of 1-based ranks, as
+cKDTree.query takes it: the query finds as many neighbors as its last
+rank, with the same windows, retries and tie rule, and writes only the
+columns of those ranks, so a caller keeps only what it reads.
+
 Each window pass runs in blocks of query locations, sized in elements of
 the (rows, candidates, d) differences (_BLOCK_DIMS) and of the (rows,
-candidates) distance arrays (_BLOCK_WINDOW), so memory grows neither with
-dimension nor with the window.  A block forms its differences in row
-slices of at most _DIFF_ELEMENTS elements (exact_distances), so each
-block in flight holds about 1 MiB of them.  A query whose first pass
+candidates) distance arrays (_BLOCK_WINDOW, and _TREE_WINDOW for a tree
+window's), so memory grows neither with dimension nor with the window.
+A block forms its differences in row slices of at most _DIFF_ELEMENTS
+elements (exact_distances), so each block in flight holds about 1 MiB of
+them.  A query whose first pass
 spans several blocks forms them from the locations in k-d leaf order, so
 the rows of one block walk the same branches of the tree; a self-query
 reads that order from the index's own tree instead of building a second
@@ -68,6 +74,23 @@ _ROW_CHUNK = 1024
 # then read all n - 1 neighbors, peaked at 320-326 MB RSS instead of 160 MB.
 _BLOCK_DIMS = 16
 _BLOCK_WINDOW = 128
+# A tree window's block also holds at most this many (rows, kq) elements:
+# each of the half dozen (rows, kq) int64 and float64 arrays the window
+# forms then takes at most 256 KiB per worker.  Windows of every location
+# keep the budget above, which from d = 64 up already holds a tree
+# window's block below this cap (as at d = 784).
+# Self-query at one thread, median of 5 interleaved runs / traced peak,
+# 2-core x86_64, at caps of 2^13 / 2^14 / 2^15 / 2^16 / 2^17 / none:
+#   20k 10-D blobs, k=100    1.00  0.96  0.95  0.94  0.94  0.93 s
+#                            8.7   9.2   9.4  10.0  11.5  11.5 MiB
+#   20k 10-D blobs, k=50     0.71  0.68  0.68  0.70  0.65  0.66 s
+#                            4.8   5.4   5.6   6.1   6.1   6.1 MiB
+#   20k 10-D blobs, k=15     0.45  0.45  0.44  0.46  0.44  0.47 s
+#   20k 2-D normal, k=30     0.15  0.14  0.14  0.14  0.14  0.15 s
+#                            2.9   3.1   3.7   4.0   4.0   4.0 MiB
+# (the peaks include the output table: 7.6 MiB at k=100, 3.8 at k=50 and
+# 2.3 at k=30)
+_TREE_WINDOW = 1 << 15
 # Elements of one (rows, kq, d) difference array (1 MiB): exact_distances
 # forms a block's differences in row slices of at most this many, so the
 # blocks in flight hold a few MiB of them, not tens.  The 20k x 10 blobs
@@ -139,6 +162,22 @@ def ordered_map(fn, items, workers=None):
             pending.append(pool.submit(fn, item))
         while pending:
             yield pending.popleft().result()
+
+
+class Ranks(tuple):
+    """Ascending 1-based neighbor ranks for query_bulk's k: a tuple whose
+    int() is its last rank, the neighbor count a query for them finds, so
+    code that books a query's k as an int (the benchmark's tracer) reads
+    the same number as for a full query."""
+
+    def __int__(self):
+        return int(self[-1])
+
+
+def _k_for(ranks):
+    """query_bulk's k for a nonempty ascending list of ranks: their count
+    when they are 1..count, a plain k-list, else Ranks(ranks)."""
+    return len(ranks) if ranks[-1] == len(ranks) else Ranks(ranks)
 
 
 def _group_rows(x):
@@ -226,15 +265,19 @@ class SpatialIndex:
         self._tree = cKDTree(self._locations, leafsize=_LEAF_SIZE)
 
     def query_bulk(self, queries, k, exclude=None, distances=True):
-        """Exact k nearest neighbors for each query row.
+        """Exact nearest neighbors for each query row.
 
+        k: the neighbor count, or an ascending sequence of distinct 1-based
+        ranks, as cKDTree.query takes it (Ranks is one).  The query finds
+        max(k) neighbors and writes only the columns of those ranks, so the
+        lists hold whatever a full query holds at them.
         exclude: optional vector of dataset indices, one per query row,
         each omitted from its own row's list (self-exclusion by exact
         index); an entry outside [0, n) excludes nothing.
-        Returns (indices, distances), each (m, k), ordered by the
-        (distance, index) key.  Indices are int32 when n < 2**31, else
-        int64; distances are float64.  With distances=False no distance
-        array is kept or written, and the second entry is None.
+        Returns (indices, distances), each (m, k) or (m, len(k)), ordered
+        by the (distance, index) key.  Indices are int32 when n < 2**31,
+        else int64; distances are float64.  With distances=False no
+        distance array is kept or written, and the second entry is None.
         """
         self_query = queries is self.points
         queries = np.ascontiguousarray(np.atleast_2d(np.asarray(queries, dtype=np.float64)))
@@ -242,7 +285,17 @@ class SpatialIndex:
             raise ValueError("query rows contain NaN or Inf")
         m = queries.shape[0]
         limit = self.n - (1 if exclude is not None else 0)
-        if not 1 <= k <= limit:
+        cols = slice(None)  # the columns of a k-list that the output keeps
+        if np.ndim(k) != 0:
+            ranks = np.asarray(k)
+            if (ranks.ndim != 1 or ranks.size == 0 or ranks.dtype.kind not in "iu"
+                    or np.any(ranks[1:] <= ranks[:-1])):
+                raise ValueError(f"ranks {k!r} must be a nonempty ascending sequence "
+                                 "of distinct integers")
+            if not (1 <= ranks[0] and ranks[-1] <= limit):
+                raise ValueError(f"ranks {ranks.tolist()} out of range [1, {limit}]")
+            cols, k = ranks - 1, int(ranks[-1])
+        elif not 1 <= k <= limit:
             raise ValueError(f"k={k} out of range [1, {limit}]")
         if exclude is not None:
             exclude = np.asarray(exclude, dtype=np.int64)
@@ -265,10 +318,17 @@ class SpatialIndex:
         if kq >= _WHOLE_WINDOW_SHARE * self._lowest.size:
             kq = self._lowest.size
         # every window runs in blocks of at most budget (rows x kq x d)
-        # elements, at most worker_count() blocks at a time
+        # elements, a tree window's in at most _TREE_WINDOW (rows x kq), at
+        # most worker_count() blocks at a time
         budget = _ROW_CHUNK * min(kq, _BLOCK_WINDOW) * min(self.d, _BLOCK_DIMS)
-        out_idx = np.empty((m, k), dtype=np.int32 if self.n < 2**31 else np.int64)
-        out_dist = np.empty((m, k), dtype=np.float64) if distances else None
+
+        def block_rows(kq):
+            rows = max(budget // (kq * self.d), 1)
+            return rows if kq == self._lowest.size else min(rows, max(_TREE_WINDOW // kq, 1))
+
+        width = k if isinstance(cols, slice) else cols.size
+        out_idx = np.empty((m, width), dtype=np.int32 if self.n < 2**31 else np.int64)
+        out_dist = np.empty((m, width), dtype=np.float64) if distances else None
 
         def run_block(block):
             # one block of this pass's kq-wide window: writes only the rows at
@@ -287,19 +347,19 @@ class SpatialIndex:
                     keep = row_idx != exclude[row, None]
                     keep[:, k] &= ~keep.all(axis=1)
                     row_idx = row_idx[keep].reshape(-1, k)
-                out_idx[row] = row_idx
+                out_idx[row] = row_idx[:, cols]
                 if distances:
-                    out_dist[row] = dist[own][keep].reshape(-1, k)
+                    out_dist[row] = dist[own][keep].reshape(-1, k)[:, cols]
             return block[tied]
 
         pending = np.arange(first.size)
-        if first.size * kq * self.d > budget:
+        if first.size > block_rows(kq):
             # the first pass spans several blocks: take the sites in k-d
             # leaf order, which the retries keep
             tree = self._tree if self_query else cKDTree(sites, leafsize=_LEAF_SIZE)
             pending = tree.indices
         while pending.size:
-            step = max(budget // (kq * self.d), 1)
+            step = block_rows(kq)
             blocks = [pending[lo : lo + step] for lo in range(0, pending.size, step)]
             workers = None if pending.size * kq >= _PARALLEL_MIN_NEIGHBORS else 1
             pending = np.concatenate(list(ordered_map(run_block, blocks, workers)))
@@ -313,7 +373,9 @@ class SpatialIndex:
         whole = kq == self._lowest.size
         if not whole:
             edge, cand = self._tree.query(queries, kq)  # 1-D when kq == 1
-            edge, cand = edge.reshape(len(queries), -1)[:, -1], cand.reshape(len(queries), -1)
+            # keep the distances' last column alone, not the (rows, kq) matrix
+            edge = edge.reshape(len(queries), -1)[:, -1].copy()
+            cand = cand.reshape(len(queries), -1)
             dist = exact_distances(self._locations, queries, cand)
         else:
             # a window of every location needs no tree walk, and its
@@ -330,9 +392,10 @@ class SpatialIndex:
         equal = np.flatnonzero(np.any(sorted_dist[:, 1:] == sorted_dist[:, :-1], axis=1))
         if equal.size:
             order[equal] = np.lexsort((cand[equal], dist[equal]))
+        dist = sorted_dist  # frees the unsorted distances before the gather
         # a whole window's sorted candidates are the order itself
         cand = order if whole else np.take_along_axis(cand, order, axis=1)
-        dist = sorted_dist
+        del order
         # A row whose kk first locations by (distance, lowest member) are
         # single points takes them as its list: every other member sorts
         # after its location's lowest.  Without duplicates every row does.

@@ -175,6 +175,71 @@ def test_degenerate_plan_is_bitwise_plain_k_distance():
                 assert np.array_equal(bagged.view(np.uint64), plain.view(np.uint64)), (d, name)
 
 
+# a 300-point probe, its rank-table plan (reach k_d + n - s = 155) and its
+# s == n plan (column k_d - 1 = 6)
+PROBE = gen_multiblobs(300, 2, 3, seed=28).points
+PROBE_PLANS = [BaggingPlan(b=3, s=150, k_d=5, seed=0), BaggingPlan(b=1, s=300, k_d=7, seed=0)]
+
+
+def probe_table(k, exclude=True):
+    idx = SpatialIndex(PROBE)
+    return idx.query_bulk(PROBE, k, exclude=np.arange(300) if exclude else None,
+                          distances=False)[0]
+
+
+@pytest.mark.parametrize("plan", PROBE_PLANS)
+def test_shared_table_gives_the_values_of_an_own_query(plan):
+    # a table as wide as bagging reads, wider, or (at s == n) a view that
+    # repeats the column of rank k_d, as a fit shares it
+    from bdmbc.bagging import _table_width
+
+    width = _table_width(300, [plan])
+    assert width == (155 if plan.s < 300 else 7)
+    own = bagged_k_distance(PROBE, plan)
+    tables = [probe_table(width), probe_table(299)]
+    if plan.s == 300:
+        column = probe_table(7)[:, 6:]
+        tables.append(np.broadcast_to(column, (300, 7)))
+    for table in tables:
+        assert np.array_equal(bagged_k_distance(PROBE, plan, table=table), own)
+
+
+@pytest.mark.parametrize("plan", PROBE_PLANS)
+def test_narrow_table_raises(plan):
+    from bdmbc.bagging import _table_width
+
+    table = probe_table(_table_width(300, [plan]) - 1)
+    with pytest.raises(ValueError, match="shape"):
+        bagged_k_distance(PROBE, plan, table=table)
+
+
+@pytest.mark.parametrize("plan", PROBE_PLANS)
+def test_table_with_too_few_rows_raises(plan):
+    table = probe_table(200)[:-1]
+    with pytest.raises(ValueError, match="shape"):
+        bagged_k_distance(PROBE, plan, table=table)
+
+
+@pytest.mark.parametrize("plan", PROBE_PLANS)
+def test_float_table_raises(plan):
+    table = probe_table(200).astype(np.float64)
+    with pytest.raises(ValueError, match="integer"):
+        bagged_k_distance(PROBE, plan, table=table)
+
+
+@pytest.mark.parametrize("plan", PROBE_PLANS)
+def test_table_queried_without_exclusion_raises(plan):
+    # each row lists its own point first; negative or too large indices are
+    # no table either
+    with pytest.raises(ValueError, match="own row"):
+        bagged_k_distance(PROBE, plan, table=probe_table(200, exclude=False))
+    for bad in (-1, 300):
+        table = probe_table(200)
+        table[5, 0] = bad
+        with pytest.raises(ValueError, match=r"\[0, 300\)"):
+            bagged_k_distance(PROBE, plan, table=table)
+
+
 def test_identical_points_zero_distance():
     pts = np.zeros((2, 2))
     bagged = bagged_k_distance(pts, BaggingPlan(b=3, s=2, k_d=1, seed=0))

@@ -563,6 +563,52 @@ def test_full_fit_peak_memory():
     assert peak < 28 * 2**20, f"peak {peak / 2**20:.1f} MiB"
 
 
+def test_fit_queries_only_the_ranks_it_reads(monkeypatch):
+    # An s == n fit reads ranks 1..max(k_l, k_g) and rank k_d, so with k_d
+    # beyond both its table is max(k_l, k_g) + 1 wide; bagging alone at
+    # s == n asks for rank k_d; each tree round asks for ranks k_d and
+    # k_d + 1, once per distinct location.  (nearest_core's 1-NN queries
+    # against the core points are left out.)
+    queried = []
+    query_bulk = SpatialIndex.query_bulk
+
+    def record_query(self, queries, k, exclude=None, distances=True):
+        out = query_bulk(self, queries, k, exclude=exclude, distances=distances)
+        if self.n in (400, 1100, 2100):
+            queried.append((self.n, list(k) if np.ndim(k) else k, out[0].shape))
+        return out
+
+    monkeypatch.setattr(SpatialIndex, "query_bulk", record_query)
+    small = gen_multiblobs(400, 2, 3, seed=5)
+    bdmbc_fit(small, BdmbcConfig(k_d=60, k_l=40, b=1, rho=1.0, k_g=10))
+    assert queried == [(400, [*range(1, 41), 60], (400, 41))]
+    queried.clear()
+    bdmbc_fit(small, BdmbcConfig(k_d=30, k_l=40, b=1, rho=1.0, k_g=10))
+    assert queried == [(400, 40, (400, 40))]
+    queried.clear()
+    bagged_k_distance(small, BaggingPlan(b=1, s=400, k_d=60))
+    assert queried == [(400, [60], (400, 1))]
+    queried.clear()
+    large = gen_multiblobs(2100, 2, 3, seed=5)
+    bdmbc_fit(large, BdmbcConfig(k_d=5, k_l=20, b=2, s=1100, k_g=10))
+    assert queried == [(2100, 20, (2100, 20))] + [(1100, [5, 6], (2100, 2))] * 2
+
+
+def test_full_fit_peak_memory_at_three_threads(monkeypatch):
+    # the s == n fit's table holds ranks 1..50 and 100 (3.9 MiB), not all
+    # 100 (7.6 MiB), and each worker's tree-window block at most
+    # knn._TREE_WINDOW (rows, kq) elements; with both it peaked at 19.9 MiB
+    monkeypatch.setenv("BDMBC_THREADS", "3")
+    ds = gen_multiblobs(20000, 10, 10, seed=3)
+    tracemalloc.start()
+    try:
+        bdmbc_fit(ds, BdmbcConfig(k_d=100, k_l=50, b=1, rho=1.0, k_g=15))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 12 * 2**20, f"peak {peak / 2**20:.1f} MiB"
+
+
 @pytest.mark.parametrize("e", [-600, -300, 300, 600])
 def test_fit_and_grid_do_not_depend_on_scale(e):
     # scaled by 2**e, a fit on each bagging path (rank table, s == n,

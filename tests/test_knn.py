@@ -13,6 +13,7 @@ from bdmbc.knn import (
     _PARALLEL_MIN_NEIGHBORS,
     _ROW_CHUNK,
     _TIE_PAD,
+    Ranks,
     SpatialIndex,
     ordered_map,
 )
@@ -128,6 +129,38 @@ def test_indices_only_query_writes_no_distances(exclude):
         assert none is None and dist.dtype == np.float64
         assert nbr.dtype == only.dtype == np.int32
         assert np.array_equal(only, nbr)
+
+
+@pytest.mark.parametrize("bad", [[], [3, 2], [2, 2, 5], [0, 4], [-1, 4], "over", [3, 30],
+                                 [1.0, 2.0], [[1, 2]]])
+@pytest.mark.parametrize("exclude", [False, True])
+def test_bad_rank_lists_raise(bad, exclude):
+    # empty, unsorted, repeated, below 1, above the limit (n = 10, or 9
+    # with exclusion), not integers or not a flat list
+    pts = np.arange(10.0)[:, None]
+    idx = SpatialIndex(pts)
+    limit = 10 - exclude
+    if bad == "over":
+        bad = [4, limit + 1]
+        idx.query_bulk(pts, [4, limit], exclude=np.arange(10) if exclude else None)
+    with pytest.raises(ValueError):
+        idx.query_bulk(pts, bad, exclude=np.arange(10) if exclude else None)
+
+
+def test_ranks_read_as_their_neighbor_count():
+    # int() of Ranks is the count of neighbors its query finds; a list of
+    # ranks 1..k is queried like k, and a plain list works like Ranks
+    assert int(Ranks((4, 9))) == 9 and Ranks((4, 9)) == (4, 9)
+    assert knn._k_for([1, 2, 3]) == 3
+    assert knn._k_for([2, 3]) == Ranks((2, 3))
+    pts = _rng(3, 28).random((50, 2))
+    idx = SpatialIndex(pts)
+    for ranks in ([3, 7], np.array([3, 7]), Ranks((3, 7))):
+        nbr, dist = idx.query_bulk(pts, ranks)
+        assert nbr.shape == dist.shape == (50, 2)
+        full, full_dist = idx.query_bulk(pts, 7)
+        assert np.array_equal(nbr, full[:, [2, 6]])
+        assert np.array_equal(dist, full_dist[:, [2, 6]])
 
 
 @pytest.mark.parametrize("d, n, k", [(784, 100, 10), (10, 600, 200)])
@@ -467,6 +500,70 @@ def test_wide_query_prefix_equals_narrow_query(quantized, monkeypatch):
     # widened retries run on the quantized grid and never on continuous data
     retries = sum(kq > kk + _TIE_PAD for kk, kq, _ in windows)
     assert (retries > 0) == quantized
+
+
+def test_rank_query_equals_full_query_columns(monkeypatch):
+    # A query for some ranks writes the full query's columns at those ranks,
+    # indices and distances bit for bit, on every hostile kind, with and
+    # without exclusion: through tree windows (with no tie pad, so that a
+    # window's last location is its kk-th and rows retry), windows of every
+    # location, and k = n - 1.
+    monkeypatch.setattr(knn, "_TIE_PAD", 0)
+    windows = record_windows(monkeypatch)
+    rng = _rng(28, 1)
+    n = 120
+    for kind in ("continuous", "duplicates", "signed-zero", "lattice", "offset"):
+        pts = hostile_set(rng, kind, n, 3)
+        idx = SpatialIndex(pts)
+        for exclude in (None, np.arange(n)):
+            seen = set()
+            for share, k in ((1.0, 12), (0.0, 12), (1.0, n - 1)):
+                monkeypatch.setattr(knn, "_WHOLE_WINDOW_SHARE", share)
+                full, full_dist = idx.query_bulk(pts, k, exclude=exclude)
+                picks = [[k], [1, k], [k - 1, k], [1, 2, k]]
+                picks += [np.sort(rng.choice(k, size, replace=False)) + 1 for size in (1, 3, 7)]
+                for ranks in picks:
+                    windows.clear()
+                    nbr, dist = idx.query_bulk(pts, Ranks(np.asarray(ranks).tolist()),
+                                               exclude=exclude)
+                    cols = np.asarray(ranks) - 1
+                    label = (kind, exclude is not None, k, list(ranks))
+                    assert nbr.dtype == np.int32, label
+                    assert np.array_equal(nbr, full[:, cols]), label
+                    assert np.array_equal(dist.view(np.uint64),
+                                          full_dist[:, cols].view(np.uint64)), label
+                    # (first window whole, retried)
+                    seen.add((windows[0][1] == idx._lowest.size, len(windows) > 1))
+            assert (False, False) in seen or (False, True) in seen, kind
+            assert (True, False) in seen, kind
+            # on copies of a few rows every list fills before its window's edge
+            assert ((False, True) in seen) == (kind != "duplicates"), kind
+
+
+def test_tree_window_blocks_are_capped(monkeypatch):
+    # a tree window's block holds at most _TREE_WINDOW (rows x kq) elements;
+    # a window of every location keeps the (rows x kq x d) budget
+    windows = []
+    query_window = SpatialIndex._query_window
+
+    def logged(self, queries, kk, kq):
+        windows.append((len(queries), kq, kq == self._lowest.size))
+        return query_window(self, queries, kk, kq)
+
+    monkeypatch.setattr(SpatialIndex, "_query_window", logged)
+    monkeypatch.setenv("BDMBC_THREADS", "1")
+    pts = _rng(28, 2).standard_normal((3000, 10))
+    idx = SpatialIndex(pts)
+    idx.query_bulk(pts, 100, exclude=np.arange(3000), distances=False)
+    tree = [(rows, kq) for rows, kq, whole in windows if not whole]
+    assert tree and max(rows * kq for rows, kq in tree) <= knn._TREE_WINDOW
+    assert tree[0] == (knn._TREE_WINDOW // 109, 109)
+    windows.clear()
+    small = pts[:600]
+    SpatialIndex(small).query_bulk(small, 200, exclude=np.arange(600), distances=False)
+    assert all(whole for _, _, whole in windows)
+    assert windows[0][0] == _ROW_CHUNK * knn._BLOCK_WINDOW * 10 // (600 * 10)
+    assert windows[0][0] * 600 > knn._TREE_WINDOW
 
 
 def test_pool_blocks_are_deterministic_across_thread_counts(monkeypatch):
